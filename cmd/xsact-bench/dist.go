@@ -111,8 +111,8 @@ func runDist(root *xmltree.Node, movies int, seed int64, iters int, w io.Writer)
 			for _, m := range modes {
 				// Equal work or no numbers: the two sides must produce the
 				// same page bit for bit before their latencies are compared.
-				lp, _, lerr := local.SearchRankedPageStream(q, m.opts)
-				dp, _, derr := co.SearchRankedPageStream(q, m.opts)
+				lp, _, _, lerr := local.SearchRankedPageWAND(q, m.opts)
+				dp, _, _, derr := co.SearchRankedPageWAND(q, m.opts)
 				if (lerr == nil) != (derr == nil) {
 					shutdown()
 					return fmt.Errorf("K=%d %q %s: err %v vs %v", k, q, m.name, derr, lerr)
@@ -124,7 +124,7 @@ func runDist(root *xmltree.Node, movies int, seed int64, iters int, w io.Writer)
 
 				opts := m.opts
 				lc, err := measure(q, m.name, iters, func() (int, error) {
-					_, total, err := local.SearchRankedPageStream(q, opts)
+					_, total, _, err := local.SearchRankedPageWAND(q, opts)
 					return total, err
 				})
 				if err != nil {
@@ -132,7 +132,7 @@ func runDist(root *xmltree.Node, movies int, seed int64, iters int, w io.Writer)
 					return err
 				}
 				dc, err := measure(q, m.name, iters, func() (int, error) {
-					_, total, err := co.SearchRankedPageStream(q, opts)
+					_, total, _, err := co.SearchRankedPageWAND(q, opts)
 					return total, err
 				})
 				if err != nil {

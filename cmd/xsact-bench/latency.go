@@ -15,9 +15,9 @@ import (
 // The -fig latency mode: a request-latency histogram over the serving
 // engine, as JSON for dashboards and regression diffing. Each movie
 // workload query runs -iters times through three serving modes — the
-// doc-order page, the exact ranked page (which auto-routes broad
-// queries to the score-bounded streamed pipeline), and the approximate
-// ranked page — and each (query, mode) cell reports nearest-rank
+// doc-order page, the exact ranked page (cut from the cached result
+// list the doc-order page filled), and the approximate ranked page
+// (always pulled from the score-bounded stream) — and each (query, mode) cell reports nearest-rank
 // percentiles over its own samples. One warm-up request per cell is
 // excluded so the engine's lazily built caches and decoded posting
 // blocks don't dominate the tail.

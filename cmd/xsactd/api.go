@@ -73,9 +73,10 @@ type searchResponse struct {
 // empty page. Result indices are positions in the full list, so a
 // paginated client passes them to compare/snippet unchanged.
 //
-// exec selects the execution strategy: "eager" or "auto" (the default)
-// materializes the full result list and slices the window, reporting
-// the exact total; "stream" pulls lazily from a resumable per-query
+// exec selects how the doc-order page is served: "eager" or "auto"
+// (the default) drains the query's stream into the cached result list
+// and slices the window, reporting the exact total; "stream" pulls
+// lazily from a resumable per-query
 // cursor that stops at the window's end — the cheapest way to page
 // forward through a huge result list — and reports total -1 until some
 // window reaches the end of the results. Both spellings return the
@@ -329,6 +330,11 @@ type documentResponse struct {
 	PendingTombstones int    `json:"pending_tombstones"`
 }
 
+// maxDocumentBody bounds a POST /api/v1/documents body (one entity
+// fragment wrapped in JSON); larger bodies are refused with 413 before
+// they are buffered.
+const maxDocumentBody = 1 << 20
+
 // apiDocuments serves the live write path:
 //
 //	POST   /api/v1/documents            body {"dataset": ..., "xml": "<entity .../>"}
@@ -343,8 +349,13 @@ func (s *server) apiDocuments(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodPost:
 		var req documentRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeJSONError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxDocumentBody)).Decode(&req); err != nil {
+			status := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeJSONError(w, status, "bad request body: "+err.Error())
 			return
 		}
 		if strings.TrimSpace(req.XML) == "" {

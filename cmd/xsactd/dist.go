@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"path/filepath"
 
@@ -79,7 +78,7 @@ func runShardServer(addr string, seed int64, shardID, shardCount int, snapshotDi
 		}
 	}
 	log.Printf("xsactd shard server %d/%d listening on %s", shardID, shardCount, addr)
-	return http.ListenAndServe(addr, srv)
+	return listen(addr, srv)
 }
 
 // loadGroupSnapshot picks one corpus's best restore source: the local

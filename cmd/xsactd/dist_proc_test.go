@@ -197,8 +197,8 @@ func TestShardServerProcesses(t *testing.T) {
 			return
 		}
 		for _, opts := range []xseek.SearchOptions{{Limit: 1}, {Limit: 5}, {Limit: 3, Offset: 2}} {
-			wantP, wantT, werr := ref.SearchRankedPageStream(query, opts)
-			gotP, gotT, gerr := co.SearchRankedPageStream(query, opts)
+			wantP, wantT, _, werr := ref.SearchRankedPageWAND(query, opts)
+			gotP, gotT, _, gerr := co.SearchRankedPageWAND(query, opts)
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%s query %q page %+v: err %v vs %v", ctx, query, opts, gerr, werr)
 			}
@@ -302,8 +302,8 @@ func TestShardServerReplicaFailoverProcesses(t *testing.T) {
 			return
 		}
 		opts := xseek.SearchOptions{Limit: 5}
-		wantP, wantT, werr := ref.SearchRankedPageStream(query, opts)
-		gotP, gotT, gerr := co.SearchRankedPageStream(query, opts)
+		wantP, wantT, _, werr := ref.SearchRankedPageWAND(query, opts)
+		gotP, gotT, _, gerr := co.SearchRankedPageWAND(query, opts)
 		if (werr == nil) != (gerr == nil) {
 			t.Fatalf("%s query %q ranked: err %v vs %v", ctx, query, gerr, werr)
 		}

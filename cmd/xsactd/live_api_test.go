@@ -128,6 +128,22 @@ func TestAPIDocumentsValidation(t *testing.T) {
 	}
 }
 
+// TestAPIDocumentsOversizeBody: a write body past maxDocumentBody is
+// refused with a JSON 413 before it is buffered or parsed, and the
+// corpus is untouched.
+func TestAPIDocumentsOversizeBody(t *testing.T) {
+	srv := testServer(t)
+	huge := `{"dataset": "Movies", "xml": "<movie><title>` + strings.Repeat("a", maxDocumentBody) + `</title></movie>"}`
+	code, body := request(t, http.MethodPost, srv.URL+"/api/v1/documents", huge)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(body, `"error"`) {
+		t.Fatalf("oversize write: status %d body %.200s, want a JSON 413", code, body)
+	}
+	_, body = get(t, srv.URL+"/api/v1/metrics")
+	if strings.Contains(body, `"updates":1`) {
+		t.Fatalf("refused write was applied: %s", body)
+	}
+}
+
 // TestServerWritesSurviveRestart proves the journaled snapshot path
 // through the real server: writes accepted by one server are replayed
 // by the next one sharing its snapshot directory.

@@ -99,7 +99,7 @@ func main() {
 			os.Exit(1)
 		}
 		log.Printf("xsactd coordinator on %s (legs: %s, replicas: %d)", *addr, *coordinator, *replicas)
-		log.Fatal(http.ListenAndServe(*addr, srv.routes()))
+		log.Fatal(listen(*addr, srv.routes()))
 	}
 
 	format, err := snapshotFormat(*snapFormat)
@@ -117,11 +117,27 @@ func main() {
 			log.Printf("xsactd profiling on %s (/debug/pprof/, /debug/memstats)", *pprofAddr)
 			// Profiling is best-effort: losing the side listener should
 			// not take the server down.
-			log.Printf("xsactd profiling listener stopped: %v", http.ListenAndServe(*pprofAddr, profilingHandler()))
+			log.Printf("xsactd profiling listener stopped: %v", listen(*pprofAddr, profilingHandler()))
 		}()
 	}
 	log.Printf("xsactd listening on %s (datasets: %v, shards: %d)", *addr, srv.datasetNames(), *shards)
-	log.Fatal(http.ListenAndServe(*addr, srv.routes()))
+	log.Fatal(listen(*addr, srv.routes()))
+}
+
+// Connection-level timeouts for every listener: a client gets
+// readHeaderTimeout to send its request headers and an idle keep-alive
+// connection is closed after idleTimeout, so slow or abandoned
+// connections cannot pin server goroutines indefinitely. Handlers run
+// without a write deadline (ranked fan-outs and profiles may be slow).
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// listen serves h on addr with the connection timeouts above.
+func listen(addr string, h http.Handler) error {
+	hs := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+	return hs.ListenAndServe()
 }
 
 // snapshotFormat maps the -snapshot-format flag to a persist format

@@ -209,8 +209,15 @@ func TestChaos(t *testing.T) {
 			var rs []*xseek.Result
 			rs, err = cl.co.Search(query)
 			key = resultKey(rs)
-		case 1:
-			ranked, total, err = cl.co.SearchRankedPageStream(query, opts)
+		case 1: // ranked page cut from the doc-order list (the cached-list route)
+			var rs []*xseek.Result
+			if rs, err = cl.co.Search(query); err == nil {
+				// RankPage has no error channel: nil is a failed fan-out.
+				if ranked = cl.co.RankPage(rs, query, opts); ranked == nil {
+					err = errors.New("rank page unavailable")
+				}
+				total = len(rs)
+			}
 			key = rankedKey(ranked)
 		case 2:
 			wopts := opts
@@ -275,11 +282,12 @@ func TestChaos(t *testing.T) {
 			}
 			wantKey = resultKey(rs)
 		case 1:
-			rs, tot, rerr := refEng.SearchRankedPageStream(query, opts)
+			rs, rerr := refEng.Search(query)
 			if rerr != nil {
 				return
 			}
-			wantKey, wantTotal = rankedKey(rs), tot
+			lo, hi := opts.Window(len(rs))
+			wantKey, wantTotal = rankedKey(refEng.RankResults(rs, query)[lo:hi]), len(rs)
 		case 2:
 			wopts := opts
 			wopts.Accuracy = xseek.AccuracyExact

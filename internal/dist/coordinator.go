@@ -173,21 +173,18 @@ func DialReplicas(groups [][]string, corpus string, root *xmltree.Node, cfg Conf
 		elements:   elements,
 		nextOrd:    len(root.Children),
 	}
-	co.install(st, nil)
+	co.install(st)
 	return co, nil
 }
 
 // install builds the state's fan-out over fresh epoch-bound HTTP legs
 // and publishes it.
-func (co *Coordinator) install(st *coordState, prev *coordState) {
+func (co *Coordinator) install(st *coordState) {
 	legs := make([]shard.Leg, len(st.part.Groups))
 	for g := range legs {
 		legs[g] = &httpLeg{cl: co.cl, g: g, epoch: st.epoch, root: st.root}
 	}
 	fan := shard.NewFanout(st.root, st.schema, st.part, st.spineIdx, legs, st.df, st.elements)
-	if prev != nil {
-		fan.AdoptCounters(prev.fan)
-	}
 	if co.cfg.AllowPartial {
 		fan = fan.WithLegFailurePolicy(func(g int, err error) error {
 			if errors.Is(err, errEpochMismatch) {
@@ -296,16 +293,10 @@ func (co *Coordinator) TotalNodes() int       { return co.cur.Load().totalNodes 
 func (co *Coordinator) DocFreq(term string) int {
 	return co.cur.Load().df[term]
 }
-func (co *Coordinator) EstimateResults(query string) int {
-	return co.cur.Load().fan.EstimateResults(query)
-}
 func (co *Coordinator) CleanQuery(query string) []string {
 	return co.cur.Load().fan.CleanQuery(query)
 }
 func (co *Coordinator) PlannerDecisions() (indexedLookup, scanEager int64) { return 0, 0 }
-func (co *Coordinator) StreamedDecisions() int64 {
-	return co.cur.Load().fan.StreamedDecisions()
-}
 func (co *Coordinator) IndexStats() index.Stats {
 	return co.cur.Load().fan.IndexStats()
 }
@@ -332,22 +323,6 @@ func (co *Coordinator) admit() error {
 		return err
 	}
 	return nil
-}
-
-func (co *Coordinator) SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error) {
-	if err := co.admit(); err != nil {
-		return nil, 0, err
-	}
-	defer co.adm.release()
-	type page struct {
-		rs    []*xseek.RankedResult
-		total int
-	}
-	p, err := retryQuery(co, func(s *coordState) (page, error) {
-		rs, total, err := s.fan.SearchRankedPageStream(query, opts)
-		return page{rs, total}, err
-	})
-	return p.rs, p.total, err
 }
 
 func (co *Coordinator) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
@@ -558,7 +533,7 @@ func (co *Coordinator) Flush() error {
 // Callers must hold writeMu.
 func (co *Coordinator) commitLocked(path string, op any, s, ns *coordState, bump func(int64) int64) error {
 	commit := func() {
-		co.install(ns, s)
+		co.install(ns)
 		bump(1)
 	}
 	if err := co.broadcast(path, op); err != nil {

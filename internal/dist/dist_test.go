@@ -189,21 +189,13 @@ func checkEquivalence(t *testing.T, ref refEngine, co *dist.Coordinator, query, 
 		t.Fatalf("%s query %q ranked:\n got  %s\n want %s", ctx, query, rankedKey(gotRanked), rankedKey(wantRanked))
 	}
 	for _, opts := range pageOptions {
+		lo, hi := opts.Window(len(want))
+		refPage := rankedKey(wantRanked[lo:hi])
 		wantPage := ref.RankPage(want, query, opts)
 		gotPage := co.RankPage(got, query, opts)
-		if rankedKey(gotPage) != rankedKey(wantPage) {
-			t.Fatalf("%s query %q page %+v:\n got  %s\n want %s",
-				ctx, query, opts, rankedKey(gotPage), rankedKey(wantPage))
-		}
-
-		wantS, wantTotal, wsErr := ref.SearchRankedPageStream(query, opts)
-		gotS, gotTotal, gsErr := co.SearchRankedPageStream(query, opts)
-		if !sameError(wsErr, gsErr) {
-			t.Fatalf("%s query %q stream %+v: err %v vs %v", ctx, query, opts, gsErr, wsErr)
-		}
-		if gotTotal != wantTotal || rankedKey(gotS) != rankedKey(wantS) {
-			t.Fatalf("%s query %q stream %+v:\n got  total=%d %s\n want total=%d %s",
-				ctx, query, opts, gotTotal, rankedKey(gotS), wantTotal, rankedKey(wantS))
+		if rankedKey(gotPage) != rankedKey(wantPage) || rankedKey(wantPage) != refPage {
+			t.Fatalf("%s query %q page %+v:\n got  %s\n want %s\n reference %s",
+				ctx, query, opts, rankedKey(gotPage), rankedKey(wantPage), refPage)
 		}
 
 		for _, acc := range []xseek.Accuracy{xseek.AccuracyExact, xseek.AccuracyApprox} {
@@ -224,8 +216,9 @@ func checkEquivalence(t *testing.T, ref refEngine, co *dist.Coordinator, query, 
 			// legitimately differs between a tombstone-masked live index
 			// and a rebuilt one — so totals must agree only when both
 			// sides report a known one.
-			if acc == xseek.AccuracyExact && gotWT != wantWT {
-				t.Fatalf("%s query %q wand %+v: total %d vs %d", ctx, query, opts, gotWT, wantWT)
+			if acc == xseek.AccuracyExact && (gotWT != wantWT || gotWT != len(want) || rankedKey(wantW) != refPage) {
+				t.Fatalf("%s query %q wand %+v: total %d vs %d (of %d), page vs reference:\n %s\n %s",
+					ctx, query, opts, gotWT, wantWT, len(want), rankedKey(wantW), refPage)
 			}
 			if acc == xseek.AccuracyApprox && gotWT >= 0 && wantWT >= 0 && gotWT != wantWT {
 				t.Fatalf("%s query %q wand approx %+v: total %d vs %d", ctx, query, opts, gotWT, wantWT)
@@ -242,7 +235,6 @@ type refEngine interface {
 	Search(query string) ([]*xseek.Result, error)
 	RankResults(results []*xseek.Result, query string) []*xseek.RankedResult
 	RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult
-	SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error)
 	SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error)
 }
 
@@ -364,9 +356,6 @@ func TestCoordinatorStatsEquivalence(t *testing.T) {
 		for _, term := range vocab {
 			if got, want := cl.co.DocFreq(term), ref.DocFreq(term); got != want {
 				t.Fatalf("K=%d DocFreq(%q) %d vs %d", k, term, got, want)
-			}
-			if got, want := cl.co.EstimateResults(term), ref.EstimateResults(term); got != want {
-				t.Fatalf("K=%d EstimateResults(%q) %d vs %d", k, term, got, want)
 			}
 		}
 		if got, want := cl.co.IndexStats(), ref.IndexStats(); got != want {

@@ -414,9 +414,9 @@ func (l *httpLeg) RankedLeg(q shard.LegQuery, sharedT *xseek.SharedThreshold) (s
 	req := &QueryRequest{
 		Epoch: l.epoch, Kind: KindRanked,
 		Query: q.Query, Terms: q.Terms, Limit: q.Limit,
-		WAND: q.WAND, Approx: q.Accuracy == xseek.AccuracyApprox,
+		WAND: true, Approx: q.Accuracy == xseek.AccuracyApprox,
 	}
-	if q.WAND && sharedT != nil {
+	if sharedT != nil {
 		// Ship a snapshot of the cross-leg threshold as this leg's
 		// starting score floor. Any snapshot is a lower bound on the
 		// global k-th best score, so staleness only costs pruning
@@ -427,7 +427,7 @@ func (l *httpLeg) RankedLeg(q shard.LegQuery, sharedT *xseek.SharedThreshold) (s
 	if err != nil {
 		return shard.LegPage{}, err
 	}
-	if q.WAND && sharedT != nil {
+	if sharedT != nil {
 		sharedT.Raise(math.Float64frombits(env.ThresholdBits))
 	}
 	var out shard.LegPage

@@ -415,7 +415,7 @@ func TestAdmissionShed(t *testing.T) {
 	firstDone := make(chan error, 1)
 	go func() {
 		close(started)
-		_, _, err := cl.co.SearchRankedPageStream(vocab[0], xseek.SearchOptions{Limit: 3})
+		_, _, _, err := cl.co.SearchRankedPageWAND(vocab[0], xseek.SearchOptions{Limit: 3})
 		firstDone <- err
 	}()
 	<-started
@@ -423,7 +423,7 @@ func TestAdmissionShed(t *testing.T) {
 	// slot is provably held.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if _, _, err := cl.co.SearchRankedPageStream(vocab[1], xseek.SearchOptions{Limit: 3}); err != nil {
+		if _, _, _, err := cl.co.SearchRankedPageWAND(vocab[1], xseek.SearchOptions{Limit: 3}); err != nil {
 			if !errors.Is(err, dist.ErrOverloaded) {
 				t.Fatalf("excess ranked query: got %v, want ErrOverloaded", err)
 			}

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -228,10 +229,34 @@ func (sv *Server) handleStats(w http.ResponseWriter, c *corpus) {
 	}
 }
 
+// maxRequestBody bounds every JSON request body a shard server
+// decodes: ranking constants, queries (a subset query carries a cached
+// result list's group run), write ops and compactions. It sits far
+// above what a coordinator sends for the corpora this repository
+// serves, and below what an untrusted client could use to exhaust
+// memory.
+const maxRequestBody = 8 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxRequestBody bytes. On failure it writes the error response — 413
+// for an oversize body, 400 for a malformed one — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(v)
+	if err == nil {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
+}
+
 func (sv *Server) handleRanking(w http.ResponseWriter, r *http.Request, c *corpus) {
 	var rk Ranking
-	if err := json.NewDecoder(r.Body).Decode(&rk); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &rk) {
 		return
 	}
 	c.writeMu.Lock()
@@ -246,8 +271,7 @@ func (sv *Server) handleRanking(w http.ResponseWriter, r *http.Request, c *corpu
 
 func (sv *Server) handleQuery(w http.ResponseWriter, r *http.Request, c *corpus) {
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	s := c.cur.Load()
@@ -279,7 +303,7 @@ func serveQuery(s *legState, req *QueryRequest) (*Envelope, error) {
 	if req.Approx {
 		acc = xseek.AccuracyApprox
 	}
-	lq := shard.LegQuery{Query: req.Query, Terms: req.Terms, Limit: req.Limit, WAND: req.WAND, Accuracy: acc}
+	lq := shard.LegQuery{Query: req.Query, Terms: req.Terms, Limit: req.Limit, Accuracy: acc}
 	switch req.Kind {
 	case KindSearch:
 		docs, err := s.leg.SearchLeg(lq)
@@ -390,8 +414,7 @@ func resolveHit(root *xmltree.Node, h WireHit) (*xseek.Result, error) {
 
 func (sv *Server) handleWrite(w http.ResponseWriter, r *http.Request, c *corpus) {
 	var op WriteOp
-	if err := json.NewDecoder(r.Body).Decode(&op); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &op) {
 		return
 	}
 	c.writeMu.Lock()
@@ -479,8 +502,7 @@ func applyWrite(s *legState, op *WriteOp, shardID int) (*legState, error) {
 
 func (sv *Server) handleCompact(w http.ResponseWriter, r *http.Request, c *corpus) {
 	var op CompactOp
-	if err := json.NewDecoder(r.Body).Decode(&op); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &op) {
 		return
 	}
 	c.writeMu.Lock()

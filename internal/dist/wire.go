@@ -86,7 +86,7 @@ func DecodeFrame(r io.Reader, v any) error {
 // Query kinds. Each maps onto one shard.Leg method.
 const (
 	KindSearch = "search" // doc-order leg: SLCAs + entity results
-	KindRanked = "ranked" // streamed/WAND ranked leg: top page
+	KindRanked = "ranked" // ranked leg through the bounded consumer: top page
 	KindSubset = "subset" // heap-select the top of an explicit subset
 	KindTF     = "tf"     // batched postings-under-subtree counts
 )
@@ -103,8 +103,10 @@ type QueryRequest struct {
 	// agree without re-tokenizing.
 	Terms []string `json:"terms,omitempty"`
 	Limit int      `json:"limit,omitempty"`
-	// WAND selects the score-bounded consumer for KindRanked; Approx
-	// allows its early stop.
+	// WAND is always sent true: legs of this version always run the
+	// score-bounded consumer and ignore it, while a leg of an earlier
+	// version that still offers an unpruned consumer is kept on the
+	// pruned one. Approx allows the consumer's early stop.
 	WAND   bool `json:"wand,omitempty"`
 	Approx bool `json:"approx,omitempty"`
 	// FloorBits is a snapshot of the coordinator's shared WAND

@@ -20,7 +20,17 @@
 // is invisible above this layer: all produce identical results, so the
 // caches, the facade, and the servers never branch on the layout. Once
 // the corpus is live, every cache entry is tagged with the update
-// layer's epoch and self-invalidates across writes and compactions.
+// layer's epoch and self-invalidates across writes and compactions;
+// stats and DFS entries, keyed by Dewey ID, are also used only for
+// nodes the current tree still holds at that ID, since a compaction
+// after a removal renumbers the survivors.
+//
+// Every executor runs one execution pipeline. Doc-order Search is the
+// executor's lazy stream drained (and cached); every ranked page runs
+// the executor's one bounded consumer, fed from the stream on a
+// query-cache miss with a bounded window (ranked_streamed) and from the
+// cached result list otherwise (ranked_eager).
+//
 // Construction fans index
 // building out — over the root's subtrees for the monolithic executor
 // (xseek.NewParallel), over per-shard segment groups for the sharded

@@ -93,17 +93,17 @@ type Metrics struct {
 	QueryCacheLen int `json:"query_cache_len"`
 	StatsCacheLen int `json:"stats_cache_len"`
 	DFSCacheLen   int `json:"dfs_cache_len"`
-	// SLCA cost-planner decisions for compiled (cache-miss) queries,
-	// summed across shards for a sharded engine (each shard plans its
-	// own leg of a fan-out).
+	// SLCA cost-planner seek-discipline decisions (galloping indexed
+	// lookup vs linear scan) for opened SLCA streams, summed across
+	// shards for a sharded engine (each shard plans its own leg of a
+	// fan-out).
 	PlannerIndexedLookup int64 `json:"planner_indexed_lookup"`
 	PlannerScanEager     int64 `json:"planner_scan_eager"`
-	// Streamed-execution counters: PlannerStreamed is the executor's
-	// count of ranked pages that ran the lazy early-terminating
-	// pipeline; RankedStreamed/RankedEager split SearchRankedPage's
-	// serving-level routing decisions; the Stream* trio tracks the
+	// Ranked-page routes: RankedStreamed counts pages pulled from the
+	// executor's lazy pipeline (a bounded window on a query-cache
+	// miss), RankedEager pages cut from the cached result list. Both
+	// run the same bounded consumer. The Stream* trio tracks the
 	// resumable doc-order stream-cursor cache behind SearchStreamPage.
-	PlannerStreamed int64 `json:"planner_streamed"`
 	RankedStreamed  int64 `json:"ranked_streamed"`
 	RankedEager     int64 `json:"ranked_eager"`
 	StreamHits      int64 `json:"stream_hits"`
@@ -169,21 +169,16 @@ type executor interface {
 	PlannerDecisions() (indexedLookup, scanEager int64)
 	TotalNodes() int
 	DocFreq(term string) int
-	// Streamed read paths: a lazy doc-order cursor, the early-
-	// terminating ranked page (bit-identical to Search + RankPage), the
-	// result-count estimate the stream planner keys on, and the
-	// executor's streamed-decision counter.
+	// SearchStream opens the lazy doc-order cursor Search drains.
 	SearchStream(query string) (xseek.Cursor, error)
-	SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error)
-	// SearchRankedPageWAND is the score-bounded ranked page: exact mode
-	// stays bit-identical to SearchRankedPageStream while skipping
-	// provably non-competitive scoring; approximate mode may additionally
-	// stop draining and report xseek.StreamTotalUnknown. Executors
-	// without bound metadata (legacy snapshots) fall back to the plain
-	// streamed pipeline internally, reported via WANDStats.Bounded.
+	// SearchRankedPageWAND runs the lazy pipeline through the bounded
+	// consumer with score-bound pruning: exact mode is bit-identical to
+	// Search + RankPage while skipping provably non-competitive scoring;
+	// approximate mode may additionally stop draining and report
+	// xseek.StreamTotalUnknown. Without bound metadata (legacy
+	// snapshots) the consumer scores every hit, reported via
+	// WANDStats.Bounded.
 	SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error)
-	EstimateResults(query string) int
-	StreamedDecisions() int64
 }
 
 // executorBox is the engine's current executor with its concrete
@@ -531,15 +526,14 @@ func (e *Engine) Metrics() Metrics {
 		DFSHits:        e.dfsHits.Load(), DFSMisses: e.dfsMisses.Load(),
 		DFSEvictions:         e.dfsEvictions.Load(),
 		PlannerIndexedLookup: indexed, PlannerScanEager: scan,
-		PlannerStreamed: box.exec.StreamedDecisions(),
-		RankedStreamed:  e.rankedStreamed.Load(),
-		RankedEager:     e.rankedEager.Load(),
-		RankedWAND:      e.rankedWAND.Load(),
-		WANDPruned:      e.wandPruned.Load(),
-		BlocksSkipped:   e.blocksSkipped.Load(),
-		StreamHits:      e.streamHits.Load(),
-		StreamMisses:    e.streamMisses.Load(),
-		Shards:          1,
+		RankedStreamed: e.rankedStreamed.Load(),
+		RankedEager:    e.rankedEager.Load(),
+		RankedWAND:     e.rankedWAND.Load(),
+		WANDPruned:     e.wandPruned.Load(),
+		BlocksSkipped:  e.blocksSkipped.Load(),
+		StreamHits:     e.streamHits.Load(),
+		StreamMisses:   e.streamMisses.Load(),
+		Shards:         1,
 	}
 	if sh := box.sharded(); sh != nil {
 		m.Shards = sh.ShardCount()
@@ -728,32 +722,28 @@ func (e *Engine) SearchCleanedPage(query string, opts xseek.SearchOptions) (*Pag
 }
 
 // SearchRankedPage searches through the cache and returns the options'
-// window of the relevance ordering. On a query-cache hit the cached
-// result list is re-scored eagerly (windowing over it is nearly free);
-// on a miss with a small bounded window over a large estimated result
-// set it routes to the executor's streamed pipeline, which never
-// materializes the full result list. Both routes produce bit-identical
-// pages and exact totals. Like SearchRanked, each attempt is retried
-// until it observes one stable epoch.
-//
-// The streamed route deliberately does not populate the query cache —
+// window of the relevance ordering. Every page runs the executor's one
+// bounded consumer; the route only picks where its entity hits come
+// from (streamRoute). A bounded window whose result list is not cached
+// pulls hits from the lazy pipeline with score-bound pruning
+// (ranked_streamed); WANDStats.Bounded reports whether bound metadata
+// was there, and feeds the ranked_wand / wand_pruned / blocks_skipped
+// metrics. That route deliberately does not populate the query cache —
 // it never computes the full result list, and a partial entry would
-// poison doc-order paging. A later Search of the same query warms the
-// cache as usual, after which ranked pages go eager.
-//
-// Routed streamed pages run the score-bounded (block-max WAND)
-// consumer, which degrades to plain streaming by itself when bound
-// metadata is missing — WANDStats.Bounded reports which happened, and
-// feeds the ranked_wand / wand_pruned / blocks_skipped metrics.
-// Requesting xseek.AccuracyApprox forces the bounded route regardless
-// of cache state: the page is still exact, but the total may come back
-// xseek.StreamTotalUnknown.
+// poison doc-order paging. Otherwise the page is cut from the cached
+// result list (ranked_eager), an unbounded window first filling the
+// cache through Search. Both routes produce bit-identical pages and
+// exact totals. Requesting xseek.AccuracyApprox forces the streamed
+// route regardless of cache state: the page is still exact, but the
+// consumer may stop early and report xseek.StreamTotalUnknown. Like
+// SearchRanked, each attempt is retried until it observes one stable
+// epoch.
 func (e *Engine) SearchRankedPage(query string, opts xseek.SearchOptions) (*RankedPage, error) {
 	var out *RankedPage
 	for i := 0; i < rankedAttempts; i++ {
 		box := e.box()
 		epoch := box.epoch()
-		if opts.Accuracy == xseek.AccuracyApprox || e.routeStreamed(box, epoch, query, opts) {
+		if opts.Accuracy == xseek.AccuracyApprox || e.streamRoute(query, epoch, opts) {
 			page, total, st, err := box.exec.SearchRankedPageWAND(query, opts)
 			if err != nil {
 				return nil, err
@@ -797,27 +787,52 @@ func (e *Engine) SearchCleanedRankedPage(query string, opts xseek.SearchOptions)
 	return page, cleaned, err
 }
 
+// cacheEpoch returns the epoch under which entries keyed by the given
+// nodes' Dewey IDs may be read and stored, or ok=false when the current
+// tree no longer holds every node at its ID. Keys are IDs, and a
+// renumbering compaction reassigns them: a node from a page fetched
+// before it may share its ID with another entity now, and its stats
+// or DFSs must never land in (or be served from) that entity's slot.
+// The epoch is read on both sides of the tree lookup, so the tree
+// checked is the one that epoch names.
+func (b *executorBox) cacheEpoch(nodes ...*xmltree.Node) (epoch uint64, ok bool) {
+	epoch = b.epoch()
+	root := b.exec.Root()
+	for _, n := range nodes {
+		if root.NodeAt(n.ID) != n {
+			return epoch, false
+		}
+	}
+	return epoch, b.epoch() == epoch
+}
+
 // Stats returns the feature statistics of the result subtree rooted at
 // node, computing them on first use and serving every later request
 // for the same subtree from a bounded LRU. Stats are immutable after
 // construction, so the cached pointer is shared freely; entries are
 // epoch-tagged because the schema they were extracted under changes
-// with live writes.
+// with live writes. A node the current tree no longer holds at its ID
+// (a result from before a renumbering compaction) bypasses the cache.
 func (e *Engine) Stats(node *xmltree.Node, label string) *feature.Stats {
 	box := e.box()
-	epoch := box.epoch()
+	epoch, cacheable := box.cacheEpoch(node)
 	key := node.ID.String() + "\x00" + label
-	e.statsMu.Lock()
-	v, ok := e.stats.get(key)
-	e.statsMu.Unlock()
-	if ok {
-		if ent := v.(cacheEntry); ent.epoch == epoch {
-			e.statsHits.Add(1)
-			return ent.val.(*feature.Stats)
+	if cacheable {
+		e.statsMu.Lock()
+		v, ok := e.stats.get(key)
+		e.statsMu.Unlock()
+		if ok {
+			if ent := v.(cacheEntry); ent.epoch == epoch {
+				e.statsHits.Add(1)
+				return ent.val.(*feature.Stats)
+			}
 		}
 	}
 	e.statsMisses.Add(1)
 	s := feature.Extract(node, box.exec.Schema(), label)
+	if !cacheable {
+		return s
+	}
 	e.statsMu.Lock()
 	if prior, ok := e.stats.get(key); ok && prior.(cacheEntry).epoch == epoch {
 		s = prior.(cacheEntry).val.(*feature.Stats) // another goroutine raced us; keep one canonical copy
@@ -866,20 +881,28 @@ func selectionKey(results []*xseek.Result, alg core.Algorithm, opts core.Options
 // repeated comparison of the same results is served without
 // re-optimization. The returned slice and its DFSs are shared and must
 // be treated as read-only. Unknown algorithms return nil, matching
-// core.Generate.
+// core.Generate. Like Stats, a selection holding a node the current
+// tree no longer holds at its ID bypasses the cache.
 func (e *Engine) Generate(alg core.Algorithm, results []*xseek.Result, opts core.Options) []*core.DFS {
 	// Key on the canonical options (the generators normalize anyway) so
 	// e.g. SizeBound 0 and SizeBound 10 share one cache entry.
 	opts = opts.Normalized()
-	epoch := e.box().epoch()
+	box := e.box()
+	nodes := make([]*xmltree.Node, len(results))
+	for i, r := range results {
+		nodes[i] = r.Node
+	}
+	epoch, cacheable := box.cacheEpoch(nodes...)
 	key := selectionKey(results, alg, opts)
-	e.dfsMu.Lock()
-	v, ok := e.dfs.get(key)
-	e.dfsMu.Unlock()
-	if ok {
-		if ent := v.(cacheEntry); ent.epoch == epoch {
-			e.dfsHits.Add(1)
-			return ent.val.([]*core.DFS)
+	if cacheable {
+		e.dfsMu.Lock()
+		v, ok := e.dfs.get(key)
+		e.dfsMu.Unlock()
+		if ok {
+			if ent := v.(cacheEntry); ent.epoch == epoch {
+				e.dfsHits.Add(1)
+				return ent.val.([]*core.DFS)
+			}
 		}
 	}
 	e.dfsMisses.Add(1)
@@ -888,7 +911,7 @@ func (e *Engine) Generate(alg core.Algorithm, results []*xseek.Result, opts core
 	if dfss == nil {
 		return nil
 	}
-	if e.box().epoch() == epoch {
+	if cacheable && box.epoch() == epoch {
 		e.dfsMu.Lock()
 		e.dfsEvictions.Add(int64(e.dfs.put(key, cacheEntry{val: dfss, epoch: epoch})))
 		e.dfsMu.Unlock()

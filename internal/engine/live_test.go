@@ -2,10 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/feature"
 	"repro/internal/xmltree"
+	"repro/internal/xseek"
 )
 
 func liveTestCorpus() *xmltree.Node {
@@ -122,6 +126,70 @@ func TestLiveStatsFollowWrites(t *testing.T) {
 	if e.Metrics().StatsMisses != misses+1 {
 		t.Fatal("stats cache served a stale epoch entry")
 	}
+}
+
+// TestCachesSurviveRenumbering: the stats and DFS caches key by Dewey
+// ID, and a compaction after a removal renumbers the survivors. A
+// compare on a page fetched before the compaction runs at the new
+// epoch with nodes whose IDs now name other entities; it must not
+// leave their stats or DFSs in those entities' slots, where the fresh
+// results — same IDs, and the same fallback labels — would be served
+// another entity's comparison.
+func TestCachesSurviveRenumbering(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			// No name-like fields: labels fall back to tag@ID, so an old
+			// and a fresh result with one ID share the stats key too.
+			e := NewWithConfig(xmltree.MustParseString(`<shop>
+			  <product><kind>gps</kind><color>red</color><size>xl</size></product>
+			  <product><kind>gps</kind><color>blue</color><size>s</size></product>
+			  <product><kind>gps</kind><color>green</color><size>m</size></product>
+			  <product><kind>gps</kind><color>black</color><size>l</size></product>
+			</shop>`), Config{Shards: shards})
+			old, err := e.SearchPage("gps", xseek.SearchOptions{Limit: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.RemoveEntity(old.Results[0].Node.ID); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			copts := core.Options{SizeBound: 4}
+			e.Generate(core.AlgMultiSwap, old.Results, copts) // the stale compare
+
+			fresh, err := e.SearchPage("gps", xseek.SearchOptions{Limit: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range fresh.Results {
+				if !fresh.Results[i].Node.ID.Equal(old.Results[i].Node.ID) {
+					t.Fatalf("result %d: fresh ID %v, old %v; the test needs them to collide", i, fresh.Results[i].Node.ID, old.Results[i].Node.ID)
+				}
+			}
+			want := make([]*feature.Stats, len(fresh.Results))
+			for i, r := range fresh.Results {
+				want[i] = feature.Extract(r.Node, e.Schema(), r.Label)
+				if got := e.Stats(r.Node, r.Label); !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("fresh result %d (%s) served stats of another entity", i, r.Label)
+				}
+			}
+			wantDFS := dfsKey(core.GenerateParallel(core.AlgMultiSwap, want, copts))
+			if got := dfsKey(e.Generate(core.AlgMultiSwap, fresh.Results, copts)); got != wantDFS {
+				t.Fatalf("fresh compare served a stale DFS set:\n got  %s\n want %s", got, wantDFS)
+			}
+		})
+	}
+}
+
+// dfsKey fingerprints a DFS set by each result's label and features.
+func dfsKey(dfss []*core.DFS) string {
+	key := ""
+	for _, d := range dfss {
+		key += fmt.Sprintf("%s:%v;", d.Stats.Label, d.Features())
+	}
+	return key
 }
 
 // TestMetricsConsistentUnderRace is the regression test for the

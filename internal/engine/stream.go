@@ -4,44 +4,29 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/index"
-	"repro/internal/slca"
 	"repro/internal/xseek"
 )
 
-// This file is the serving layer's side of the lazy execution paths:
-// the cache-aware routing decision for ranked pages and a resumable
+// This file is the serving layer's side of the lazy pipeline: the
+// route a ranked page takes into the bounded consumer, and a resumable
 // doc-order cursor cache, so sequential pagination over a streamed
 // query pulls each result from the pipeline exactly once.
 
-// routeStreamed decides whether a ranked page should run the
-// executor's streamed pipeline instead of Search + RankPage. Streaming
-// wins only when all of these hold: the window is bounded, the full
-// result list is not already sitting in the query cache (windowing a
-// cached list is a heap pass over materialized results — cheaper than
-// any re-execution), and the stream planner judges the window small
-// against the estimated result count.
-func (e *Engine) routeStreamed(box *executorBox, epoch uint64, query string, opts xseek.SearchOptions) bool {
-	lo := opts.Offset
-	if lo < 0 {
-		lo = 0
-	}
-	if opts.Limit <= 0 {
+// streamRoute reports whether a ranked page should pull its hits from
+// the executor's lazy pipeline rather than the cached result list: the
+// window must be bounded (so the consumer can stop scoring early) and
+// the query's result list must not already sit in the query cache at
+// this epoch (cutting a page from a cached list skips the SLCA and
+// entity stages entirely).
+func (e *Engine) streamRoute(query string, epoch uint64, opts xseek.SearchOptions) bool {
+	lo := max(opts.Offset, 0)
+	if opts.Limit <= 0 || lo+opts.Limit <= lo { // unbounded, or overflow
 		return false
 	}
-	need := lo + opts.Limit
-	if need <= lo { // overflow
-		return false
-	}
-	key := queryKey(query)
 	e.queryMu.Lock()
-	v, ok := e.queries.get(key)
+	v, ok := e.queries.get(queryKey(query))
 	e.queryMu.Unlock()
-	if ok && v.(queryOutcome).epoch == epoch {
-		return false
-	}
-	est := box.exec.EstimateResults(query)
-	return slca.PlanStreamed(index.PlanStats{Min: est}, need)
+	return !ok || v.(queryOutcome).epoch != epoch
 }
 
 // SearchStream opens a fresh lazy doc-order cursor over the query's

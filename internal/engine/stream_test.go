@@ -76,9 +76,6 @@ func TestEngineRankedStreamRouting(t *testing.T) {
 	if m.RankedStreamed != 1 || m.RankedEager != 0 {
 		t.Fatalf("cold small window: streamed %d / eager %d, want 1 / 0", m.RankedStreamed, m.RankedEager)
 	}
-	if m.PlannerStreamed == 0 {
-		t.Fatal("executor streamed counter did not move")
-	}
 	if page.Total != len(wantFull) {
 		t.Fatalf("streamed total = %d, want %d", page.Total, len(wantFull))
 	}

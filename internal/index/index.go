@@ -284,7 +284,7 @@ type PlanStats struct {
 	// Lengths holds each term's posting-list length, in term order.
 	Lengths []int
 	// Min and Max are the smallest and largest list lengths. The
-	// smallest list is the driving list of the eager SLCA algorithms.
+	// smallest list is the driving list of the SLCA iterators.
 	Min, Max int
 	// Skew is Max/Min, the planner's main signal: a high ratio means a
 	// rare term drives the search and indexed lookups into the long

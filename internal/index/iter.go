@@ -22,7 +22,7 @@ import (
 // PredOf answers the one backward-looking question SLCA needs — the
 // last element strictly before id in the whole sequence — without
 // moving the cursor, so a streaming driver can probe both neighbours
-// of a position the way the eager algorithms do.
+// of a position.
 type Iter interface {
 	// Peek returns the element at the cursor without advancing.
 	Peek() (dewey.ID, bool)
@@ -46,7 +46,7 @@ type sliceIter struct {
 	skips PostingList // skips[b] == list[(b+1)*skipInterval-1]; may be nil
 	pos   int
 	// linear makes Seek advance one element at a time — the merge
-	// discipline of the streaming ScanEager variant, which is cheaper
+	// discipline of the Scan Eager SLCA iterator, which is cheaper
 	// than galloping when the driver is about as dense as this list.
 	linear bool
 }
@@ -354,7 +354,7 @@ func (emptyIter) Seek(dewey.ID) (dewey.ID, bool)   { return nil, false }
 func (emptyIter) PredOf(dewey.ID) (dewey.ID, bool) { return nil, false }
 
 // CollectIter drains it into a materialized posting list — the bridge
-// back to the eager algebra (and the equivalence oracle in tests).
+// back to the list algebra (and the equivalence oracle in tests).
 func CollectIter(it Iter) PostingList {
 	var out PostingList
 	for {

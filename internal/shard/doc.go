@@ -26,8 +26,11 @@
 //
 // # Query execution
 //
-// Search fans the xseek stage pipeline (compile → plan → SLCA →
-// entity-map) out per shard. Because a segment subtree lies entirely
+// Every leg runs the one xseek pipeline (compile → plan → lazy SLCA →
+// entity stream) over its group's index, with spine-owned SLCAs
+// filtered out of the stream and spine-rooted entities diverted for
+// the cross-group fix-up; Search drains each leg's stream, a ranked
+// page feeds it to the bounded consumer. Because a segment subtree lies entirely
 // within one shard, a node inside a segment is a global SLCA if and
 // only if it is a shard-local SLCA of that shard — so the per-shard
 // SLCA sets are unioned after discarding spine-node hits. Spine nodes
@@ -39,9 +42,10 @@
 //
 // Ranking reuses the whole-corpus constants: document frequencies are
 // aggregated across shards at build time, so per-shard TF-IDF scores
-// equal monolithic scores bit for bit, and RankPage merges the
-// per-shard ranked streams with a K-way heap — top-k never
-// materializes the full cross-shard ranking.
+// equal monolithic scores bit for bit. Ranked pages (SearchRankedPageWAND
+// on a stream, RankPage on a cached result list) keep each leg's top
+// Offset+Limit and merge the per-leg lists with a K-way heap — top-k
+// never materializes the full cross-shard ranking.
 //
 // # Laziness and repair
 //

@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dewey"
@@ -42,11 +41,6 @@ type Fanout struct {
 	// carried alongside df so IndexStats never has to materialize a
 	// lazy shard.
 	elements int
-
-	// plannerStreamed counts ranked pages that ran the streamed
-	// fan-out. A pointer so epoch-swapped fan-outs (dist) can carry
-	// one counter across rebuilds via AdoptCounters.
-	plannerStreamed *atomic.Int64
 
 	// onLegErr, when non-nil, is consulted when a ranked leg fails:
 	// returning nil drops that leg's contribution and degrades the
@@ -110,13 +104,12 @@ func (o Ownership) Spine(id dewey.ID) bool { return o.spineSet[id.String()] }
 // aggregated see the same weights.
 func newFanout(root *xmltree.Node, schema *xseek.Schema, part Partition, spineIdx *index.Index) *Fanout {
 	f := &Fanout{
-		root:            root,
-		schema:          schema,
-		part:            part,
-		totalNodes:      part.NodeCount, // == root.CountNodes(), free from the partition walk
-		idf:             make(map[string]float64),
-		own:             part.Ownership(),
-		plannerStreamed: new(atomic.Int64),
+		root:       root,
+		schema:     schema,
+		part:       part,
+		totalNodes: part.NodeCount, // == root.CountNodes(), free from the partition walk
+		idf:        make(map[string]float64),
+		own:        part.Ownership(),
 	}
 	f.spineByDepth = append(f.spineByDepth, part.Spine...)
 	sort.SliceStable(f.spineByDepth, func(i, j int) bool {
@@ -148,15 +141,6 @@ func (f *Fanout) WithLegFailurePolicy(policy func(g int, err error) error) *Fano
 	nf := *f
 	nf.onLegErr = policy
 	return &nf
-}
-
-// AdoptCounters carries the streamed-decision counter over from a
-// previous fan-out of the same logical corpus (epoch-swapped rebuilds
-// must not reset metrics).
-func (f *Fanout) AdoptCounters(prev *Fanout) {
-	if prev != nil {
-		f.plannerStreamed = prev.plannerStreamed
-	}
 }
 
 // initRanking installs the whole-corpus term statistics, filling the
@@ -220,10 +204,6 @@ func (f *Fanout) TermFrequencies() map[string]int {
 
 // SpineEngine returns the pipeline engine over the spine-only index.
 func (f *Fanout) SpineEngine() *xseek.Engine { return f.spine }
-
-// StreamedDecisions reports how many ranked pages ran the streamed
-// fan-out.
-func (f *Fanout) StreamedDecisions() int64 { return f.plannerStreamed.Load() }
 
 // tfCounts resolves postings-under-subtree counts for a probe batch:
 // a group-owned probe goes to its owning leg alone; a spine probe

@@ -24,19 +24,19 @@ import (
 // called.
 type Leg interface {
 	// SearchLeg runs the doc-order leg: compile → SLCA → spine filter →
-	// entity mapping over the group's index.
+	// entity mapping over the group's index, drained.
 	SearchLeg(q LegQuery) (LegDocs, error)
-	// RankedLeg runs the streamed (q.WAND false) or score-bounded
-	// (q.WAND true) ranked leg, returning the leg's own top q.Limit in
-	// rank order plus its kept SLCAs and full entity-result count.
+	// RankedLeg runs the same stream through the bounded consumer with
+	// score-bound pruning, returning the leg's own top q.Limit in rank
+	// order plus its kept SLCAs and full entity-result count.
 	// shared is the fan-out's monotone-max threshold; a remote leg
 	// forwards a snapshot of it as its score floor and raises it with
 	// the leg's final threshold on return.
 	RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage, error)
-	// RankSubsetLeg heap-selects the top q.Limit of an explicit
-	// leg-owned doc-order result subset — the eager RankPage's
-	// per-group stage. The returned entries must reference the input
-	// Result objects.
+	// RankSubsetLeg runs an explicit leg-owned doc-order result subset
+	// (a cached list's per-group run) through the bounded consumer,
+	// returning its top q.Limit — RankPage's per-group stage. The
+	// returned entries must reference the input Result objects.
 	RankSubsetLeg(q LegQuery, subset []*xseek.Result) ([]*xseek.RankedResult, error)
 	// TFUnderLeg counts the postings of probe.Term inside the subtree
 	// at probe.ID in the group's index, one count per probe.
@@ -52,9 +52,7 @@ type LegQuery struct {
 	// Limit is the number of ranked entries the leg keeps (the
 	// fan-out's offset+limit); 0 means unbounded.
 	Limit int
-	// WAND selects the score-bounded consumer; Accuracy is forwarded
-	// to it.
-	WAND     bool
+	// Accuracy is forwarded to the leg's bounded consumer.
 	Accuracy xseek.Accuracy
 }
 
@@ -119,87 +117,80 @@ type localLeg struct {
 	sh       *lazyShard
 }
 
-func (l *localLeg) SearchLeg(q LegQuery) (LegDocs, error) {
-	sh := l.sh.get()
-	cq, err := sh.Compile(q.Query)
-	if err != nil {
-		// A keyword missing from this shard only means no SLCA can
-		// fall inside it; other shards (or the spine) still answer.
-		var noMatch *index.NoMatchError
-		if errors.As(err, &noMatch) {
-			return LegDocs{}, nil
-		}
-		return LegDocs{}, err
-	}
-	ids := cq.SLCAs()
-	kept := make([]dewey.ID, 0, len(ids))
-	for _, id := range ids {
-		if !l.spineSet[id.String()] {
-			kept = append(kept, id)
-		}
-	}
-	rs, err := sh.MapToEntities(kept)
-	if err != nil {
-		return LegDocs{}, err
-	}
-	out := LegDocs{SLCAs: kept}
-	for _, r := range rs {
-		// A group-internal SLCA can still lift to a spine-rooted
-		// entity (the partition split that entity's subtree). Those
-		// results need cross-group merging, so they travel separately.
-		if l.spineSet[r.Node.ID.String()] {
-			out.Boundary = append(out.Boundary, r)
-		} else {
-			out.Results = append(out.Results, r)
-		}
-	}
-	return out, nil
+// legStream is one leg's filtered pipeline: the group engine, the
+// query terms, and the query's entity stream with the spine filters
+// installed, plus what the filters collected so far.
+type legStream struct {
+	sh       *xseek.Engine
+	terms    []string
+	es       *xseek.EntityStream
+	slcas    []dewey.ID
+	boundary []*xseek.Result
 }
 
-func (l *localLeg) RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage, error) {
+// open compiles the query on the leg's group engine and builds its
+// filtered stream, shared by the doc-order and ranked legs. A keyword
+// missing from this group only means no SLCA can fall inside it; other
+// groups (or the spine) still answer, so that returns (nil, nil).
+func (l *localLeg) open(q LegQuery) (*legStream, error) {
 	sh := l.sh.get()
 	cq, err := sh.Compile(q.Query)
 	if err != nil {
 		var noMatch *index.NoMatchError
 		if errors.As(err, &noMatch) {
-			return LegPage{}, nil
+			return nil, nil
 		}
-		return LegPage{}, err
+		return nil, err
 	}
 	it, err := cq.SLCAIter()
 	if err != nil {
-		return LegPage{}, err
+		return nil, err
 	}
-	var out LegPage
+	ls := &legStream{sh: sh, terms: q.Terms}
 	// Drop cross-segment artifacts (spine-owned SLCAs) before entity
-	// mapping, collecting the survivors for the spine fix-up — the
-	// streamed twin of the kept-filter in SearchLeg.
+	// mapping, collecting the survivors for the spine fix-up.
 	filtered := slca.FilterTee(it,
 		func(id dewey.ID) bool { return !l.spineSet[id.String()] },
-		func(id dewey.ID) { out.SLCAs = append(out.SLCAs, id) },
+		func(id dewey.ID) { ls.slcas = append(ls.slcas, id) },
 	)
-	es := xseek.NewEntityStream(filtered, l.root, l.schema)
+	ls.es = xseek.NewEntityStream(filtered, l.root, l.schema)
 	// Entities rooted on the spine leave the stream before scoring and
 	// counting: the leg's index sees only its own groups' matches, so
 	// its score for a cross-group entity would be partial, and another
 	// leg may emit the same entity. The fan-out re-derives both from
 	// the Boundary reports with whole-corpus knowledge.
-	es.FilterEntities(
+	ls.es.FilterEntities(
 		func(n *xmltree.Node) bool { return !l.spineSet[n.ID.String()] },
 		func(h xseek.EntityHit) {
-			out.Boundary = append(out.Boundary, &xseek.Result{Node: h.Node, Match: h.Match, Label: xseek.LabelFor(h.Node)})
+			ls.boundary = append(ls.boundary, &xseek.Result{Node: h.Node, Match: h.Match, Label: xseek.LabelFor(h.Node)})
 		},
 	)
-	if q.WAND {
-		opts := xseek.SearchOptions{Limit: q.Limit, Accuracy: q.Accuracy}
-		out.Top, out.Total, out.Stats, err = xseek.ConsumeRankedWAND(es, opts, sh.StreamScorer(q.Terms), sh.TermBounds(q.Terms), shared)
-	} else {
-		out.Top, out.Total, err = xseek.ConsumeRankedStream(es, xseek.SearchOptions{Limit: q.Limit}, sh.StreamScorer(q.Terms))
+	return ls, nil
+}
+
+func (l *localLeg) SearchLeg(q LegQuery) (LegDocs, error) {
+	ls, err := l.open(q)
+	if ls == nil {
+		return LegDocs{}, err
 	}
+	results, err := xseek.Drain(xseek.NewResultStream(ls.es))
+	if err != nil {
+		return LegDocs{}, err
+	}
+	return LegDocs{SLCAs: ls.slcas, Results: results, Boundary: ls.boundary}, nil
+}
+
+func (l *localLeg) RankedLeg(q LegQuery, shared *xseek.SharedThreshold) (LegPage, error) {
+	ls, err := l.open(q)
+	if ls == nil {
+		return LegPage{}, err
+	}
+	opts := xseek.SearchOptions{Limit: q.Limit, Accuracy: q.Accuracy}
+	top, total, st, err := xseek.ConsumeRankedWAND(ls.es, opts, ls.sh.StreamScorer(ls.terms), ls.sh.TermBounds(ls.terms), shared)
 	if err != nil {
 		return LegPage{}, err
 	}
-	return out, nil
+	return LegPage{Top: top, SLCAs: ls.slcas, Boundary: ls.boundary, Total: total, Stats: st}, nil
 }
 
 func (l *localLeg) RankSubsetLeg(q LegQuery, subset []*xseek.Result) ([]*xseek.RankedResult, error) {

@@ -40,10 +40,10 @@ func (f *Fanout) RankResultsErr(results []*xseek.Result, query string) ([]*xseek
 // RankPage returns one window of the ranking RankResults would
 // produce without materializing the full cross-leg ranking: the
 // merged result list is split back into its per-leg runs, each leg
-// heap-selects only its own top Offset+Limit, and a K-way heap merge
-// streams the winners out in global rank order. A window covering the
-// whole set falls back to the full sort, matching xseek.RankPage.
-// Like RankResults, a transport failure returns nil.
+// runs its run through the bounded consumer keeping only its own top
+// Offset+Limit, and a K-way heap merge streams the winners out in
+// global rank order. Like RankResults, a transport failure returns
+// nil.
 func (f *Fanout) RankPage(results []*xseek.Result, query string, opts xseek.SearchOptions) []*xseek.RankedResult {
 	out, err := f.RankPageErr(results, query, opts)
 	if err != nil {
@@ -55,14 +55,6 @@ func (f *Fanout) RankPage(results []*xseek.Result, query string, opts xseek.Sear
 // RankPageErr is RankPage with the transport error surfaced.
 func (f *Fanout) RankPageErr(results []*xseek.Result, query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, error) {
 	lo, hi := opts.Window(len(results))
-	if hi >= len(results) {
-		full, err := f.RankResultsErr(results, query)
-		if err != nil {
-			return nil, err
-		}
-		return full[lo:], nil
-	}
-
 	// Split the document-ordered merged list into per-owner runs.
 	// Each run preserves document order, the rank tie-break.
 	runs := make([][]*xseek.Result, len(f.legs)+1) // last bucket: spine-rooted
@@ -81,9 +73,9 @@ func (f *Fanout) RankPageErr(results []*xseek.Result, query string, opts xseek.S
 			continue
 		}
 		if g < len(f.legs) {
-			// The leg's own bounded-heap top-k, with the shared IDF: no
-			// leg ever contributes more than hi entries to the window,
-			// so deeper ranks are never computed.
+			// The leg's own bounded top-k, with the shared IDF: no leg
+			// ever contributes more than hi entries to the window, so
+			// deeper ranks are never ordered.
 			top, err := f.legs[g].RankSubsetLeg(lq, run)
 			if err != nil {
 				return nil, err

@@ -7,27 +7,37 @@ import (
 	"repro/internal/xseek"
 )
 
-// This file is the fan-out's streamed ranked path: each leg runs the
-// lazy SLCA → entity → bounded-heap pipeline over its own index
+// This file is the fan-out's ranked path: each leg runs the lazy
+// SLCA → entity → bounded-consumer pipeline over its own index
 // (collecting its kept SLCAs on the fly for the spine fix-up), and the
-// per-leg top lists merge through the existing K-way rank merge. No
-// leg ever materializes its full result list — only its top
-// Offset+Limit survive per leg — yet the page, scores, and total are
-// bit-identical to Search + RankPage.
+// per-leg top lists merge through the K-way rank merge. No leg ever
+// materializes its full result list — only its top Offset+Limit
+// survive per leg — yet the page, scores, and total are bit-identical
+// to Search + RankResults.
+//
+// Every leg prunes with block-max bounds, and one shared monotone
+// threshold circulates: each leg publishes its own k-th-best score as
+// its heap fills, so a slow leg can prune with the global bar, not
+// just its own. Leg scoring (and therefore leg bounds) is leg-local: a
+// leg's hits lie inside its own segments, and spine-owned SLCAs are
+// filtered out and fixed up afterwards. Cross-leg pruning uses strict
+// comparison only: a pruned entity scores strictly below the final
+// global k-th score, so it can affect neither membership nor tie order
+// of the page.
+//
+// Over a transport the threshold circulates as per-leg score floors: a
+// remote leg starts from a snapshot of the shared bar and reports its
+// final bar back. Any snapshot is a lower bound on the global k-th
+// best score, so staleness only costs pruning opportunity, never
+// correctness.
 
-// SearchRankedPageStream returns the options' window of the relevance
-// ranking plus the exact total, running every leg streamed. An
-// unbounded window (Limit <= 0) has nothing to terminate early and
-// falls back to the eager path.
-func (f *Fanout) SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error) {
-	page, total, _, err := f.rankedPage(query, opts, false)
-	return page, total, err
-}
-
-// rankedPage is the shared ranked fan-out behind the streamed and
-// score-bounded (wand) paths; the two differ only in which consumer a
-// leg runs and whether a shared threshold circulates.
-func (f *Fanout) rankedPage(query string, opts xseek.SearchOptions, wand bool) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
+// SearchRankedPageWAND returns the options' window of the relevance
+// ranking plus the total, running every leg through the bounded
+// consumer. Exact mode is bit-identical to Search + RankResults;
+// approximate mode may stop draining legs early, reporting
+// StreamTotalUnknown as the total. An unbounded window has nothing to
+// cut early, so it ranks the drained Search result list (RankPage).
+func (f *Fanout) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
 	var zero xseek.WANDStats
 	lo := opts.Offset
 	if lo < 0 {
@@ -64,13 +74,8 @@ func (f *Fanout) rankedPage(query string, opts xseek.SearchOptions, wand bool) (
 	if len(missing) > 0 {
 		return nil, 0, zero, &index.NoMatchError{Terms: missing}
 	}
-	f.plannerStreamed.Add(1)
-
-	lq := LegQuery{Query: query, Terms: terms, Limit: hi, WAND: wand, Accuracy: opts.Accuracy}
-	var shared *xseek.SharedThreshold
-	if wand {
-		shared = &xseek.SharedThreshold{}
-	}
+	lq := LegQuery{Query: query, Terms: terms, Limit: hi, Accuracy: opts.Accuracy}
+	shared := &xseek.SharedThreshold{}
 	outs := make([]LegPage, len(f.legs))
 	errs := make([]error, len(f.legs))
 	core.ForEachParallel(len(f.legs), 0, func(g int) {
@@ -115,7 +120,7 @@ func (f *Fanout) rankedPage(query string, opts xseek.SearchOptions, wand bool) (
 	// the spine's own SLCAs plus the legs' boundary reports (entities
 	// whose subtrees the partition split across groups) coalesce into
 	// one spine bucket, scored with cross-leg term counts and cut like
-	// the eager RankPage's spine bucket. A degraded or early-terminated
+	// RankPage's spine bucket. A degraded or early-terminated
 	// run skips it: the fix-up needs every leg's kept SLCAs, boundary
 	// reports, and witness counts to be sound, and such a run already
 	// reports its total as unknown.
@@ -157,33 +162,12 @@ func (f *Fanout) rankedPage(query string, opts xseek.SearchOptions, wand bool) (
 // SearchStream returns a doc-order result cursor. The fan-out's
 // doc-order answer needs every leg's results merged before the first
 // emission can be trusted, so this materializes via Search and wraps
-// the list — a true per-leg lazy merge is future work; the serving
-// layer's cursor cache still benefits from the uniform interface.
+// the list; the serving layer's cursor cache still benefits from the
+// uniform interface.
 func (f *Fanout) SearchStream(query string) (xseek.Cursor, error) {
 	results, err := f.Search(query)
 	if err != nil {
 		return nil, err
 	}
 	return xseek.SliceCursor(results), nil
-}
-
-// EstimateResults bounds the query's result count for stream planning:
-// the smallest aggregate document frequency, 0 when the query cannot
-// match anywhere.
-func (f *Fanout) EstimateResults(query string) int {
-	terms := index.TokenizeQuery(query)
-	if len(terms) == 0 {
-		return 0
-	}
-	est := -1
-	for _, t := range terms {
-		df := f.df[t]
-		if df == 0 {
-			return 0
-		}
-		if est == -1 || df < est {
-			est = df
-		}
-	}
-	return est
 }

@@ -7,12 +7,15 @@
 // v is an SLCA if additionally no proper descendant of v is also a
 // candidate. Results are returned in document order.
 //
-// Three algorithms are provided: Naive, a simple quadratic-ish scan
-// used as a correctness oracle, and the two eager algorithms of Xu &
-// Papakonstantinou (SIGMOD 2005) — IndexedLookupEager, which walks the
-// smallest list and probes the others with binary search, and
-// ScanEager, which advances merge pointers through the others instead.
-// Which eager variant wins depends on posting-list skew, so Compute
-// routes through a cost-based planner (Plan) that picks from the
-// lists' shape statistics.
+// There is one execution path: a pull-based Iterator that drives the
+// smallest list through cursors over the others and emits each SLCA
+// as soon as it is final — the Indexed Lookup Eager and Scan Eager
+// algorithms of Xu & Papakonstantinou (SIGMOD 2005). The two differ
+// only in how the non-driving cursors seek: galloping probes
+// (IndexedLookupStream) or linear merge pointers (ScanStream). Which
+// wins depends on posting-list skew, so Stream asks a cost-based
+// planner (Plan) to pick from the lists' shape statistics. A consumer
+// wanting the whole SLCA set drains the iterator with Collect. Naive,
+// a simple quadratic scan, is the correctness oracle the tests check
+// both disciplines against.
 package slca

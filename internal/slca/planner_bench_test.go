@@ -25,10 +25,12 @@ func syntheticLists(nEntities, skew int) []index.PostingList {
 }
 
 // BenchmarkPlanner calibrates DefaultSkewThreshold: for each list-shape
-// skew it times both eager algorithms and the planner's automatic
-// choice. The planner is correct when auto tracks the faster fixed
-// algorithm at every skew — scan-eager on uniform shapes, indexed
-// lookup on heavily skewed ones. BENCH_PLANNER.json records a run.
+// skew it drains both stream cursor kinds (linear merge pointers and
+// galloping seeks) and the planner's automatic choice. The planner is
+// correct when auto tracks the faster fixed discipline at every skew —
+// scan on uniform shapes, indexed lookup on heavily skewed ones.
+// BENCH_PLANNER.json records a run of the eager implementations this
+// calibration started from.
 func BenchmarkPlanner(b *testing.B) {
 	const nEntities = 50000
 	for _, skew := range []int{1, 2, 4, 8, 16, 24, 32, 48, 64, 256} {
@@ -37,7 +39,7 @@ func BenchmarkPlanner(b *testing.B) {
 			b.Run(fmt.Sprintf("skew=%d/%s", skew, alg), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					_ = ComputeWith(alg, lists)
+					_ = Collect(StreamWith(alg, lists))
 				}
 			})
 		}

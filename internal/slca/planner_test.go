@@ -38,32 +38,6 @@ func TestPlanPicksByskew(t *testing.T) {
 	}
 }
 
-func TestComputeWithUnknownAlgorithm(t *testing.T) {
-	lists := []index.PostingList{{dewey.New(0)}, {dewey.New(1)}}
-	if got := ComputeWith(Algorithm("nope"), lists); got != nil {
-		t.Fatalf("unknown algorithm returned %v, want nil", got)
-	}
-}
-
-func TestComputeCountsPlannerDecisions(t *testing.T) {
-	i0, s0 := plannerDecisions()
-	// Uniform lists → scan; skewed lists → indexed lookup.
-	uniform := []index.PostingList{
-		{dewey.New(0, 0), dewey.New(1, 0)},
-		{dewey.New(0, 1), dewey.New(1, 1)},
-	}
-	skewed := []index.PostingList{{dewey.New(0, 0)}, make(index.PostingList, 100)}
-	for j := range skewed[1] {
-		skewed[1][j] = dewey.New(j/10, j%10)
-	}
-	Compute(uniform)
-	Compute(skewed)
-	i1, s1 := plannerDecisions()
-	if i1-i0 != 1 || s1-s0 != 1 {
-		t.Fatalf("planner deltas = %d indexed, %d scan; want 1 and 1", i1-i0, s1-s0)
-	}
-}
-
 // randomDoc builds a random XML corpus over a small vocabulary:
 // nested container elements of random fanout whose leaves carry 1-3
 // random terms. Structure and content both vary tree to tree (fixed
@@ -97,9 +71,9 @@ func randomDoc(r *rand.Rand, vocab []string) string {
 }
 
 // TestAlgorithmsAgreeOnRandomTrees is the cross-algorithm property
-// test: on randomized corpora and queries, Naive (the oracle),
-// IndexedLookupEager, ScanEager, and the planned Compute must produce
-// identical SLCA sets.
+// test: on randomized corpora and queries, Naive (the oracle), both
+// seek disciplines, and the planned Stream must produce identical SLCA
+// sets.
 func TestAlgorithmsAgreeOnRandomTrees(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
@@ -117,13 +91,13 @@ func TestAlgorithmsAgreeOnRandomTrees(t *testing.T) {
 			lists, _, _ := idx.QueryLists(terms) // missing terms fine: all algorithms return nil
 			oracle := idKey(Naive(lists))
 			for _, alg := range []Algorithm{AlgIndexedLookup, AlgScanEager, AlgAuto} {
-				if got := idKey(ComputeWith(alg, lists)); got != oracle {
+				if got := idKey(Collect(StreamWith(alg, lists))); got != oracle {
 					t.Fatalf("tree %d query %v: %s = %q, oracle = %q\ndoc: %s",
 						ti, terms, alg, got, oracle, doc)
 				}
 			}
-			if got := idKey(Compute(lists)); got != oracle {
-				t.Fatalf("tree %d query %v: Compute = %q, oracle = %q", ti, terms, got, oracle)
+			if got := idKey(Collect(Stream(lists))); got != oracle {
+				t.Fatalf("tree %d query %v: Stream = %q, oracle = %q", ti, terms, got, oracle)
 			}
 		}
 	}

@@ -5,12 +5,12 @@ import (
 	"repro/internal/index"
 )
 
-// This file holds the streaming (lazy) twins of the eager SLCA
-// algorithms: the same smallest-list-driven candidate computation, but
-// pulled one result at a time through an Iterator instead of
-// materialized, sorted, and pruned in bulk. A consumer that stops
+// This file holds the SLCA algorithms proper: the smallest-list-driven
+// candidate computation of Indexed Lookup Eager and Scan Eager, pulled
+// one result at a time through an Iterator. A consumer that stops
 // after k results pays for the driving-list prefix that produced them,
-// not for the whole result set — latency scales with the limit.
+// not for the whole result set — latency scales with the limit — and
+// a drained iterator is the full SLCA set (Collect).
 
 // Iterator yields SLCAs one at a time, in document order, each exactly
 // once. Returned IDs are read-only views: safe to retain (they alias
@@ -18,24 +18,6 @@ import (
 // place.
 type Iterator interface {
 	Next() (dewey.ID, bool)
-}
-
-// DefaultStreamRatio is the planner's third-choice threshold: a query
-// asking for the top `need` results runs streamed when the driving
-// (smallest) posting list holds at least need*DefaultStreamRatio
-// postings — i.e. when early termination can plausibly skip most of
-// the eager work. Calibrated with BenchmarkStreamTopK (see
-// BENCH_STREAM.json): at ratios below ~4 the streamed and eager costs
-// converge, while small windows over rare+common workloads above the
-// threshold win 4-8x.
-const DefaultStreamRatio = 4
-
-// PlanStreamed reports whether a query for the first `need` results
-// (offset+limit) should run the streamed pipeline instead of an eager
-// algorithm. need <= 0 means "all results", which streaming cannot
-// shortcut.
-func PlanStreamed(stats index.PlanStats, need int) bool {
-	return need > 0 && stats.Min >= need*DefaultStreamRatio
 }
 
 // streamer drives the shortest posting list through the other lists'
@@ -52,7 +34,10 @@ type streamer struct {
 	driver index.Iter
 	others []index.Iter
 	tent   dewey.ID
-	done   bool
+	// hasTent marks tent as set: the root's ID is empty (possibly nil),
+	// so a nil check cannot tell "no tentative" from "root".
+	hasTent bool
+	done    bool
 }
 
 // Next implements Iterator.
@@ -67,8 +52,8 @@ func (s *streamer) Next() (dewey.ID, bool) {
 		}
 		cand := s.candidate(v)
 		switch {
-		case s.tent == nil:
-			s.tent = cand
+		case !s.hasTent:
+			s.tent, s.hasTent = cand, true
 		case s.tent.Equal(cand):
 			// Duplicate of the tentative: merged.
 		case s.tent.IsAncestorOf(cand):
@@ -83,17 +68,16 @@ func (s *streamer) Next() (dewey.ID, bool) {
 		}
 	}
 	s.done = true
-	if s.tent != nil {
-		out := s.tent
-		s.tent = nil
-		return out, true
+	if s.hasTent {
+		s.hasTent = false
+		return s.tent, true
 	}
 	return nil, false
 }
 
-// candidate folds driver node v against every other list exactly as
-// the eager ScanEager does: the deepest LCA of the running candidate
-// with v's closest left or right neighbour in each list.
+// candidate folds driver node v against every other list: the deepest
+// LCA of the running candidate with v's closest left or right
+// neighbour in each list.
 func (s *streamer) candidate(v dewey.ID) dewey.ID {
 	if len(s.others) == 0 {
 		return v[:len(v):len(v)]
@@ -125,24 +109,23 @@ func StreamIters(driver index.Iter, others []index.Iter) Iterator {
 	return &streamer{driver: driver, others: others}
 }
 
-// ScanStream is the streaming twin of ScanEager: the non-driver lists
-// advance with linear merge pointers. Equivalent output, pulled
-// lazily.
+// ScanStream runs Scan Eager: the non-driver lists advance with
+// linear merge pointers.
 func ScanStream(lists []index.PostingList) Iterator {
 	return streamLists(lists, index.ListIterLinear)
 }
 
-// IndexedLookupStream is the streaming twin of IndexedLookupEager: the
-// non-driver lists are probed with galloping searches, so a rare
-// driving term touches only O(|S1|·k·log|S|) postings no matter how
-// long the common lists are.
+// IndexedLookupStream runs Indexed Lookup Eager: the non-driver lists
+// are probed with galloping searches, so a rare driving term touches
+// only O(|S1|·k·log|S|) postings no matter how long the common lists
+// are.
 func IndexedLookupStream(lists []index.PostingList) Iterator {
 	return streamLists(lists, index.ListIter)
 }
 
 // Stream returns a streaming SLCA iterator over the lists, picking the
-// seek discipline with the same planner rule the eager path uses
-// (scan below the skew threshold, gallop above).
+// seek discipline with the planner (scan below the skew threshold,
+// gallop above).
 func Stream(lists []index.PostingList) Iterator {
 	return StreamWith(Plan(index.StatsOf(lists)), lists)
 }
@@ -198,7 +181,7 @@ type sliceIterator struct {
 }
 
 // IterOver streams an already-computed, document-ordered SLCA slice —
-// the bridge for eager fallbacks (naive oracle, cached results).
+// the bridge for the naive oracle.
 func IterOver(ids []dewey.ID) Iterator { return &sliceIterator{ids: ids} }
 
 func (s *sliceIterator) Next() (dewey.ID, bool) {
@@ -242,8 +225,7 @@ func (f *filterTee) Next() (dewey.ID, bool) {
 	}
 }
 
-// Collect drains it — the materializing bridge back to the eager
-// algebra, and the equivalence oracle in tests.
+// Collect drains it into the full, document-ordered SLCA set.
 func Collect(it Iterator) []dewey.ID {
 	var out []dewey.ID
 	for {

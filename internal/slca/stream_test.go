@@ -9,10 +9,9 @@ import (
 	"repro/internal/index"
 )
 
-// TestStreamCrossAlgorithmEquivalence extends the eager cross-check:
-// on random posting lists, the streamed variants consumed to
-// exhaustion must produce exactly the eager (and naive-oracle) result
-// set, in the same document order.
+// TestStreamCrossAlgorithmEquivalence: on random posting lists, every
+// seek discipline consumed to exhaustion must produce exactly the
+// naive oracle's result set, in the same document order.
 func TestStreamCrossAlgorithmEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
@@ -20,8 +19,6 @@ func TestStreamCrossAlgorithmEquivalence(t *testing.T) {
 		ls := randomLists(r, k)
 		want := Naive(ls)
 		checks := map[string][]dewey.ID{
-			"ScanEager":           ScanEager(ls),
-			"IndexedLookupEager":  IndexedLookupEager(ls),
 			"ScanStream":          Collect(ScanStream(ls)),
 			"IndexedLookupStream": Collect(IndexedLookupStream(ls)),
 			"Stream":              Collect(Stream(ls)),
@@ -36,13 +33,13 @@ func TestStreamCrossAlgorithmEquivalence(t *testing.T) {
 }
 
 // TestStreamPrefixInvariance: for every k, the first k pulls of the
-// stream equal the first k entries of the eager output in document
+// stream equal the first k entries of the oracle's output in document
 // order — the property that makes early termination exact.
 func TestStreamPrefixInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 100; trial++ {
 		ls := randomLists(r, 1+r.Intn(3))
-		want := ScanEager(ls)
+		want := Naive(ls)
 		for _, k := range []int{1, 2, 3, 7} {
 			if k > len(want) {
 				k = len(want)
@@ -82,6 +79,25 @@ func TestStreamEmptyAndSingleList(t *testing.T) {
 	}
 }
 
+// TestStreamEmitsRootMatch: a keyword occurring directly under the
+// document root has the root's empty (nil) ID as its posting, and that
+// root is then the one SLCA. The streamer must emit it, not mistake the
+// empty ID for "no candidate yet".
+func TestStreamEmitsRootMatch(t *testing.T) {
+	for _, ls := range [][]index.PostingList{
+		{{nil}},
+		{{nil}, {nil}},
+		{{dewey.Root()}, {dewey.Root()}},
+	} {
+		want := Naive(ls)
+		for name, it := range map[string]Iterator{"scan": ScanStream(ls), "indexed": IndexedLookupStream(ls)} {
+			if got := Collect(it); len(want) != 1 || !sameIDs(got, want) {
+				t.Fatalf("%s over %v: got %v, oracle %v", name, ls, idStrings(got), idStrings(want))
+			}
+		}
+	}
+}
+
 func TestStreamWithUnknownAlgorithm(t *testing.T) {
 	if _, ok := StreamWith("bogus", lists(ids("0"))).Next(); ok {
 		t.Fatal("unknown algorithm must stream nothing")
@@ -109,22 +125,6 @@ func TestStreamedIDsAppendSafe(t *testing.T) {
 	if !sameIDs(got, want) {
 		t.Fatalf("append through a streamed view corrupted index state: %v vs %v",
 			idStrings(got), idStrings(want))
-	}
-}
-
-func TestPlanStreamed(t *testing.T) {
-	stats := index.PlanStats{Min: 1000, Max: 50000}
-	if !PlanStreamed(stats, 10) {
-		t.Fatal("small window over a large result bound should stream")
-	}
-	if PlanStreamed(stats, 500) {
-		t.Fatal("window close to the result bound should stay eager")
-	}
-	if PlanStreamed(stats, 0) {
-		t.Fatal("need <= 0 (all results) cannot stream")
-	}
-	if PlanStreamed(index.PlanStats{Min: 8, Max: 8}, 10) {
-		t.Fatal("driver shorter than the window should stay eager")
 	}
 }
 

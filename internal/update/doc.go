@@ -24,6 +24,11 @@
 //     indexes) when only adds are pending, or rebuilding from the
 //     pruned, renumbered tree when tombstones are pending.
 //
+// Reads run the same pipeline as every other executor: the SLCA and
+// entity stages stream over lazily merged composite posting sequences
+// (Search drains them), and ranked pages feed the bounded consumer
+// with scorers and block-max bounds composed over the same parts.
+//
 // All reads are lock-free: the entire mutable surface lives in one
 // immutable state value behind an atomic pointer, and every mutation
 // (including compaction) installs a fresh state with a bumped epoch.

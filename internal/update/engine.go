@@ -44,7 +44,6 @@ type Engine struct {
 	rootTag  string
 
 	plannerIndexed, plannerScan atomic.Int64
-	plannerStreamed             atomic.Int64
 	updates, compactions        atomic.Int64
 }
 

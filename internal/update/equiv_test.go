@@ -153,8 +153,9 @@ func assertEquivalent(t *testing.T, step string, live *Engine, cold coldExecutor
 			t.Fatalf("%s: query %q full rankings differ", step, q)
 		}
 	}
-	// The lazy read paths must agree with the eager ones on the same
-	// snapshot (and, transitively, with the cold rebuild).
+	// The lazy read paths and both ranked routes must agree with the
+	// reference ranking on the same snapshot (and, transitively, with
+	// the cold rebuild).
 	assertStreamEquivalent(t, step, live)
 }
 

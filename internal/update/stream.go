@@ -7,7 +7,7 @@ import (
 	"repro/internal/xseek"
 )
 
-// This file is the live read path's lazy twin: composite posting
+// This file is the live read path's pipeline: composite posting
 // sequences (base parts ⊕ delta − tombstones) exposed as iterators
 // instead of materialized lists, driving the streamed SLCA and
 // entity-mapping stages over the live tree. Snapshots are immutable,
@@ -70,7 +70,7 @@ func (s *state) planStats(terms []string) index.PlanStats {
 // slcaIter builds the lazy SLCA stage over the live composite
 // sequences: the rarest term drives, the others answer neighbour
 // probes with the planned seek discipline. Counts the planner decision
-// on the engine's counters, like the eager Search does.
+// on the engine's counters.
 func (s *state) slcaIter(terms []string, counters *Engine) slca.Iterator {
 	stats := s.planStats(terms)
 	alg := slca.Plan(stats)
@@ -132,8 +132,8 @@ func (e *Engine) SearchStream(query string) (xseek.Cursor, error) {
 
 // streamScorer returns the live scorer for the query's terms: monotone
 // counters over the materialized composite lists with the live IDF,
-// replicating scoreResults' accumulation exactly so streamed scores
-// are bit-identical to eager ones.
+// replicating scoreResults' accumulation exactly so consumer scores
+// are bit-identical to the RankResults reference.
 func (s *state) streamScorer(terms []string) xseek.Scorer {
 	type termCursor struct {
 		idf     float64
@@ -163,45 +163,3 @@ func (s *state) streamScorer(terms []string) xseek.Scorer {
 		return score
 	}
 }
-
-// SearchRankedPageStream runs the streamed ranked pipeline over the
-// live corpus: lazy composite SLCAs, streamed entity mapping,
-// bounded-heap top-k. Page, scores, and total are bit-identical to
-// Search + RankPage over the same snapshot.
-func (e *Engine) SearchRankedPageStream(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, error) {
-	s := e.view()
-	terms, err := compileStream(s, query)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.plannerStreamed.Add(1)
-	it := s.slcaIter(terms, e)
-	es := xseek.NewEntityStream(it, s.root, s.schema)
-	return xseek.ConsumeRankedStream(es, opts, s.streamScorer(terms))
-}
-
-// EstimateResults bounds the query's live result count for stream
-// planning: the smallest term's exact document frequency, 0 when the
-// query cannot match.
-func (e *Engine) EstimateResults(query string) int {
-	s := e.view()
-	terms := index.TokenizeQuery(query)
-	if len(terms) == 0 {
-		return 0
-	}
-	est := -1
-	for _, t := range terms {
-		df := s.df.get(t)
-		if df == 0 {
-			return 0
-		}
-		if est == -1 || df < est {
-			est = df
-		}
-	}
-	return est
-}
-
-// StreamedDecisions reports how many ranked pages ran the streamed
-// pipeline on the live read path.
-func (e *Engine) StreamedDecisions() int64 { return e.plannerStreamed.Load() }

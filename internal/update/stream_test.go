@@ -10,20 +10,21 @@ import (
 	"repro/internal/xseek"
 )
 
-// assertStreamEquivalent verifies the live streamed read paths against
-// the live eager ones on the same snapshot: the doc-order cursor
-// drained must equal Search, and the streamed ranked page must be
-// bit-identical (scores, labels, total) to RankPage over the eager
-// results. Called from assertEquivalent, so it runs under every
-// interleaving of adds, removes, and compactions the equivalence suite
-// generates, for monolithic and sharded bases alike.
+// assertStreamEquivalent verifies the live streamed read paths on one
+// snapshot: the doc-order cursor drained must equal Search, and both
+// ranked routes — the cached-list consumer (RankPage) and the streamed
+// pruning consumer in exact and approximate mode — must be
+// bit-identical (scores, labels, total) to the same window of the
+// RankResults reference ranking. Called from assertEquivalent, so it
+// runs under every interleaving of adds, removes, and compactions the
+// equivalence suite generates, for monolithic and sharded bases alike.
 func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 	t.Helper()
 	for _, q := range equivQueries {
 		er, eerr := live.Search(q)
 		sc, serr := live.SearchStream(q)
 		if (eerr == nil) != (serr == nil) || (eerr != nil && eerr.Error() != serr.Error()) {
-			t.Fatalf("%s: query %q stream errors differ: eager %v, stream %v", step, q, eerr, serr)
+			t.Fatalf("%s: query %q stream errors differ: search %v, stream %v", step, q, eerr, serr)
 		}
 		if eerr != nil {
 			continue
@@ -40,19 +41,14 @@ func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 			t.Fatalf("%s: query %q stream failed: %v", step, q, err)
 		}
 		if lc, cc := canonical(sr), canonical(er); lc != cc {
-			t.Fatalf("%s: query %q streamed results differ:\nstream:\n%s\neager:\n%s", step, q, lc, cc)
+			t.Fatalf("%s: query %q streamed results differ:\nstream:\n%s\nsearch:\n%s", step, q, lc, cc)
 		}
+		ref := live.RankResults(er, q)
 		for _, opts := range equivPages {
-			want := live.RankPage(er, q, opts)
-			got, total, err := live.SearchRankedPageStream(q, opts)
-			if err != nil {
-				t.Fatalf("%s: query %q opts %+v streamed ranked failed: %v", step, q, opts, err)
-			}
-			if total != len(er) {
-				t.Fatalf("%s: query %q opts %+v streamed total %d, want %d", step, q, opts, total, len(er))
-			}
-			if lc, cc := canonicalRanked(got), canonicalRanked(want); lc != cc {
-				t.Fatalf("%s: query %q opts %+v streamed ranked differs:\nstream:\n%s\neager:\n%s",
+			lo, hi := opts.Window(len(er))
+			want := ref[lo:hi]
+			if lc, cc := canonicalRanked(live.RankPage(er, q, opts)), canonicalRanked(want); lc != cc {
+				t.Fatalf("%s: query %q opts %+v cached-list ranked differs:\nconsumer:\n%s\nreference:\n%s",
 					step, q, opts, lc, cc)
 			}
 
@@ -71,7 +67,7 @@ func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 				t.Fatalf("%s: query %q opts %+v wand total %d, want %d", step, q, opts, wtotal, len(er))
 			}
 			if lc, cc := canonicalRanked(wgot), canonicalRanked(want); lc != cc {
-				t.Fatalf("%s: query %q opts %+v wand ranked differs:\nwand:\n%s\neager:\n%s",
+				t.Fatalf("%s: query %q opts %+v wand ranked differs:\nwand:\n%s\nreference:\n%s",
 					step, q, opts, lc, cc)
 			}
 			aopts := opts
@@ -88,7 +84,7 @@ func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 				t.Fatalf("%s: query %q opts %+v approx wand unknown total without Terminated", step, q, opts)
 			}
 			if lc, cc := canonicalRanked(agot), canonicalRanked(want); lc != cc {
-				t.Fatalf("%s: query %q opts %+v approx wand page differs:\nwand:\n%s\neager:\n%s",
+				t.Fatalf("%s: query %q opts %+v approx wand page differs:\nwand:\n%s\nreference:\n%s",
 					step, q, opts, lc, cc)
 			}
 		}
@@ -96,7 +92,7 @@ func assertStreamEquivalent(t *testing.T, step string, live *Engine) {
 }
 
 // TestStreamSnapshotSurvivesWrites: a cursor opened before writes keeps
-// streaming its epoch's answer — identical to the eager result set
+// streaming its epoch's answer — identical to the Search result set
 // captured at open time — while adds, removes, and a compaction land.
 func TestStreamSnapshotSurvivesWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
@@ -217,7 +213,7 @@ func TestConcurrentStreamsDuringWrites(t *testing.T) {
 						return
 					}
 				} else {
-					if _, total, err := live.SearchRankedPageStream(q, xseek.SearchOptions{Limit: 5}); err == nil && total < 0 {
+					if _, total, _, err := live.SearchRankedPageWAND(q, xseek.SearchOptions{Limit: 5}); err == nil && total < 0 {
 						errs <- fmt.Errorf("reader %d: negative streamed total %d", r, total)
 						return
 					}

@@ -25,7 +25,7 @@ import (
 
 // termBounds builds one composite bound cursor per scoring term over
 // this snapshot, or nil when any part lacks bound metadata (legacy
-// compact payload) — the fallback-to-streaming signal.
+// compact payload) — the signal for the consumer to score every hit.
 func (s *state) termBounds(terms []string) []xseek.TermBound {
 	out := make([]xseek.TermBound, 0, len(terms))
 	for _, t := range terms {
@@ -69,18 +69,17 @@ func (s *state) termBounds(terms []string) []xseek.TermBound {
 	return out
 }
 
-// SearchRankedPageWAND runs the score-bounded ranked pipeline over
-// the live corpus: the streamed composite pipeline of
-// SearchRankedPageStream with block-max pruning on top. Exact mode is
-// bit-identical to it; approximate mode may stop draining and report
-// StreamTotalUnknown.
+// SearchRankedPageWAND runs the ranked pipeline over the live corpus:
+// lazy composite SLCAs, streamed entity mapping, and the bounded
+// consumer with block-max pruning. Exact mode is bit-identical to
+// Search + RankResults over the same snapshot; approximate mode may
+// stop draining and report StreamTotalUnknown.
 func (e *Engine) SearchRankedPageWAND(query string, opts xseek.SearchOptions) ([]*xseek.RankedResult, int, xseek.WANDStats, error) {
 	s := e.view()
 	terms, err := compileStream(s, query)
 	if err != nil {
 		return nil, 0, xseek.WANDStats{}, err
 	}
-	e.plannerStreamed.Add(1)
 	it := s.slcaIter(terms, e)
 	es := xseek.NewEntityStream(it, s.root, s.schema)
 	return xseek.ConsumeRankedWAND(es, opts, s.streamScorer(terms), s.termBounds(terms), nil)

@@ -18,10 +18,12 @@ var ErrEmptyQuery = fmt.Errorf("xseek: empty query")
 // Engine is an XSeek-style keyword search engine over one XML document:
 // an inverted index, a schema summary, and SLCA + return-node logic.
 //
-// Search runs as a staged pipeline — tokenize → plan → SLCA →
+// Search runs as one lazy pipeline — tokenize → plan → SLCA →
 // entity-map → label — with the first two stages reified as a Query
-// value (Compile) so callers can inspect or override the plan, and the
-// final result list addressable in windows (SearchPage).
+// value (Compile) so callers can inspect or override the plan. The
+// later stages are pull iterators (Stream): doc-order Search drains
+// them, and a ranked page feeds them through the bounded consumer
+// (ConsumeRankedWAND).
 type Engine struct {
 	root   *xmltree.Node
 	idx    *index.Index
@@ -43,10 +45,6 @@ type Engine struct {
 	// queries, surfaced through the serving layer's metrics.
 	plannerIndexed atomic.Int64
 	plannerScan    atomic.Int64
-	// plannerStreamed counts ranked pages the planner's third choice
-	// routed to the lazy pipeline (orthogonal to the algorithm
-	// counters above: a streamed query still picks a seek discipline).
-	plannerStreamed atomic.Int64
 }
 
 // New builds an engine (index + schema summary) over root. The tree
@@ -113,14 +111,10 @@ func (e *Engine) Index() *index.Index { return e.idx }
 func (e *Engine) TotalNodes() int { return e.totalNodes }
 
 // PlannerDecisions reports how many compiled queries the SLCA cost
-// planner routed to each eager algorithm on this engine.
+// planner routed to each seek discipline on this engine.
 func (e *Engine) PlannerDecisions() (indexedLookup, scanEager int64) {
 	return e.plannerIndexed.Load(), e.plannerScan.Load()
 }
-
-// StreamedDecisions reports how many ranked pages the planner routed
-// to the streamed (early-terminating) pipeline on this engine.
-func (e *Engine) StreamedDecisions() int64 { return e.plannerStreamed.Load() }
 
 // Result is one search result: the entity subtree that contains an
 // SLCA match, as XSeek's return-node inference dictates.
@@ -146,12 +140,9 @@ type SearchOptions struct {
 	// Offset skips that many results from the start; out-of-range
 	// offsets yield an empty window, not an error.
 	Offset int
-	// Mode picks the execution strategy: ExecAuto (default) defers to
-	// the planner, ExecEager and ExecStream force a pipeline.
-	Mode ExecMode
-	// Accuracy applies to the score-bounded (WAND) ranked paths:
-	// AccuracyExact (default) keeps pages and totals bit-identical to
-	// eager execution, AccuracyApprox may stop draining at the score
+	// Accuracy applies to ranked pages cut from the stream: AccuracyExact
+	// (default) keeps pages and totals bit-identical to the RankResults
+	// reference ranking, AccuracyApprox may stop draining at the score
 	// cutoff and report StreamTotalUnknown (wand.go).
 	Accuracy Accuracy
 }
@@ -178,9 +169,10 @@ func (o SearchOptions) Window(n int) (lo, hi int) {
 
 // Query is a compiled keyword query: the outcome of the pipeline's
 // tokenize and plan stages. The remaining stages (SLCA, entity
-// mapping, labelling) run on Execute. Fields are read-only snapshots;
-// Alg may be overwritten before Execute to force an algorithm — it
-// must name one of slca's known algorithms, or Execute errors.
+// mapping, labelling) run on Stream, or drained on Execute. Fields are
+// read-only snapshots; Alg may be overwritten before execution to
+// force a seek discipline — it must name one of slca's algorithms, or
+// execution errors.
 type Query struct {
 	// Terms are the tokenized keywords.
 	Terms []string
@@ -188,14 +180,14 @@ type Query struct {
 	Lists []index.PostingList
 	// Stats are the plan statistics of Lists.
 	Stats index.PlanStats
-	// Alg is the planner's algorithm choice for the SLCA stage.
+	// Alg is the planner's seek-discipline choice for the SLCA stage.
 	Alg slca.Algorithm
 
 	eng *Engine
 }
 
 // Compile runs the tokenize and plan stages: resolve the query's terms
-// to posting lists and pick an SLCA algorithm from their shape. An
+// to posting lists and pick an SLCA seek discipline from their shape. An
 // empty query or one with unmatched keywords fails here, before any
 // list is touched by the SLCA stage.
 func (e *Engine) Compile(query string) (*Query, error) {
@@ -216,32 +208,31 @@ func (e *Engine) Compile(query string) (*Query, error) {
 	return &Query{Terms: terms, Lists: lists, Stats: stats, Alg: alg, eng: e}, nil
 }
 
-// SLCAs runs the SLCA stage with the query's planned (or overridden)
-// algorithm.
+// SLCAs drains the SLCA stage with the query's planned (or
+// overridden) algorithm: the full SLCA set in document order, nil when
+// Alg names no algorithm.
 func (q *Query) SLCAs() []dewey.ID {
-	return slca.ComputeWith(q.Alg, q.Lists)
+	it, err := q.SLCAIter()
+	if err != nil {
+		return nil
+	}
+	return slca.Collect(it)
 }
 
-// Execute runs the remaining pipeline stages — SLCA, entity mapping,
-// labelling — and returns the full result list in document order. An
-// unrecognized Alg override is an error, not an empty result list.
+// Execute drains the lazy pipeline — SLCA, entity mapping, labelling —
+// and returns the full result list in document order. An unrecognized
+// Alg override is an error, not an empty result list.
 func (q *Query) Execute() ([]*Result, error) {
-	if !slca.KnownAlgorithm(q.Alg) {
-		return nil, fmt.Errorf("xseek: unknown SLCA algorithm %q", q.Alg)
+	rs, err := q.Stream()
+	if err != nil {
+		return nil, err
 	}
-	return q.eng.mapToEntities(q.SLCAs(), true)
+	return Drain(rs)
 }
 
 // ExecutePage runs Execute and returns the options' window of the
-// result list plus the full result count. Under ExecStream the page is
-// pulled lazily and the pipeline stops as soon as Offset+Limit results
-// exist; if that stops before exhaustion the Total is
-// StreamTotalUnknown. ExecAuto keeps doc-order pages eager — only the
-// ranked path auto-routes, since its Total stays exact.
+// result list plus the full result count.
 func (q *Query) ExecutePage(opts SearchOptions) ([]*Result, int, error) {
-	if opts.Mode == ExecStream {
-		return q.executePageStream(opts)
-	}
 	all, err := q.Execute()
 	if err != nil {
 		return nil, 0, err
@@ -250,42 +241,9 @@ func (q *Query) ExecutePage(opts SearchOptions) ([]*Result, int, error) {
 	return all[lo:hi], len(all), nil
 }
 
-// executePageStream cuts a doc-order page from the lazy pipeline,
-// pulling only until the window is full.
-func (q *Query) executePageStream(opts SearchOptions) ([]*Result, int, error) {
-	rs, err := q.Stream()
-	if err != nil {
-		return nil, 0, err
-	}
-	lo := opts.Offset
-	if lo < 0 {
-		lo = 0
-	}
-	need := 0 // 0: no bound, drain the stream
-	if opts.Limit > 0 {
-		if n := lo + opts.Limit; n > lo {
-			need = n
-		}
-	}
-	var page []*Result
-	for need == 0 || rs.Emitted() < need {
-		r, ok := rs.Next()
-		if !ok {
-			if err := rs.Err(); err != nil {
-				return nil, 0, err
-			}
-			// Exhausted: the emitted count is the exact total.
-			return page, rs.Emitted(), nil
-		}
-		if rs.Emitted() > lo {
-			page = append(page, r)
-		}
-	}
-	return page, StreamTotalUnknown, nil
-}
-
-// mapToEntities is the entity-map + label stage shared by the SLCA and
-// ELCA paths: lift each match to its nearest enclosing entity, merge
+// mapToEntities is the entity-map + label stage over an explicit match
+// set (ELCA results, the sharded spine fix-up, and the tests' naive
+// oracle): lift each match to its nearest enclosing entity, merge
 // matches falling in the same entity, and label the survivors. When
 // strict is set, a match ID absent from the tree is an internal error;
 // otherwise it is skipped (ELCA considers ancestors liberally).

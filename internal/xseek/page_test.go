@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dewey"
 	"repro/internal/xmltree"
 )
 
@@ -138,36 +139,39 @@ func TestRankPageEqualsRankResults(t *testing.T) {
 	}
 }
 
-// TestTopKRandomizedAgainstFullSort drives the heap selection with
-// random scores (including duplicates) and checks it against the
-// stable full sort for every k.
+// TestTopKRandomizedAgainstFullSort drives the bounded consumer's heap
+// selection with random scores (including duplicates) over a result
+// list and checks it against the stable full sort for every k.
 func TestTopKRandomizedAgainstFullSort(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		n := r.Intn(40) + 1
-		scored := make([]*RankedResult, n)
-		for i := range scored {
-			scored[i] = &RankedResult{
-				Result: &Result{Label: fmt.Sprintf("r%d", i)},
-				Score:  float64(r.Intn(5)), // few distinct values → many ties
-			}
-		}
+		results := make([]*Result, n)
+		scores := make([]float64, n)
 		full := make([]*RankedResult, n)
-		copy(full, scored)
+		for i := range results {
+			results[i] = &Result{Node: &xmltree.Node{ID: dewey.New(i)}, Label: fmt.Sprintf("r%d", i)}
+			scores[i] = float64(r.Intn(5)) // few distinct values → many ties
+			full[i] = &RankedResult{Result: results[i], Score: scores[i]}
+		}
 		// Reference: the same stable ordering RankResults applies.
 		stableSortByScore(full)
+		score := func(id dewey.ID) float64 { return scores[id[0]] }
 		for k := 0; k <= n+2; k++ {
-			got := topK(scored, k)
+			got, total, _, err := ConsumeRankedWAND(ResultHits(results), SearchOptions{Limit: k}, score, nil, nil)
+			if err != nil || total != n {
+				t.Fatalf("n=%d k=%d: total %d err %v", n, k, total, err)
+			}
 			want := full
-			if k < n {
+			if k > 0 && k < n {
 				want = full[:k]
 			}
 			if len(got) != len(want) {
 				t.Fatalf("n=%d k=%d: got %d, want %d", n, k, len(got), len(want))
 			}
 			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d k=%d: topK diverges at %d: %s vs %s", n, k, i, got[i].Label, want[i].Label)
+				if got[i].Result != want[i].Result || got[i].Score != want[i].Score {
+					t.Fatalf("n=%d k=%d: consumer diverges at %d: %s vs %s", n, k, i, got[i].Label, want[i].Label)
 				}
 			}
 		}

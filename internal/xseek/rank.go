@@ -1,11 +1,9 @@
 package xseek
 
 import (
-	"container/heap"
 	"sort"
 
 	"repro/internal/index"
-	"repro/internal/slca"
 )
 
 // RankedResult is a search result with a relevance score. XSACT's demo
@@ -31,54 +29,18 @@ func (e *Engine) SearchRanked(query string) ([]*RankedResult, error) {
 	return e.RankResults(results, query), nil
 }
 
-// SearchRankedPage runs Search and returns the options' window of the
-// relevance ordering, plus the total result count — selecting the top
-// Offset+Limit results with a bounded heap instead of sorting the full
-// set. Concatenating consecutive pages reproduces SearchRanked.
-//
-// Execution strategy follows opts.Mode: ExecEager materializes then
-// ranks; ExecStream runs the lazy pipeline; ExecAuto (the default)
-// streams when the planner judges the window small relative to the
-// result bound (slca.PlanStreamed) and stays eager otherwise. Both
-// pipelines return bit-identical pages and totals — the ranked stream
-// consumes all SLCAs (so Total stays exact) but skips materializing,
-// sorting, and labelling the non-window results.
+// SearchRankedPage returns the options' window of the relevance
+// ordering plus the total result count: the lazy pipeline fed through
+// the bounded consumer (SearchRankedPageWAND without its stats).
+// Concatenating consecutive exact pages reproduces SearchRanked.
 func (e *Engine) SearchRankedPage(query string, opts SearchOptions) ([]*RankedResult, int, error) {
-	q, err := e.Compile(query)
-	if err != nil {
-		return nil, 0, err
-	}
-	stream := opts.Mode == ExecStream
-	if opts.Mode == ExecAuto {
-		lo := opts.Offset
-		if lo < 0 {
-			lo = 0
-		}
-		need := 0
-		if opts.Limit > 0 {
-			if n := lo + opts.Limit; n > lo {
-				need = n
-			}
-		}
-		if slca.PlanStreamed(q.Stats, need) {
-			stream = true
-			e.plannerStreamed.Add(1)
-		}
-	}
-	if stream {
-		return q.RankStream(opts)
-	}
-	results, err := q.Execute()
-	if err != nil {
-		return nil, 0, err
-	}
-	return e.RankPage(results, query, opts), len(results), nil
+	page, total, _, err := e.SearchRankedPageWAND(query, opts)
+	return page, total, err
 }
 
-// RankResults scores and orders an already-computed result set for a
-// query — the scoring half of SearchRanked, split out so callers that
-// cache search results (the serving engine) can rank without repeating
-// the SLCA search.
+// RankResults scores every result of an already-computed result set
+// and stable-sorts them — the scoring half of SearchRanked, and the
+// reference ranking every bounded-consumer page equals a window of.
 func (e *Engine) RankResults(results []*Result, query string) []*RankedResult {
 	out := e.scoreResults(results, query)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Score > out[j].Score })
@@ -86,18 +48,13 @@ func (e *Engine) RankResults(results []*Result, query string) []*RankedResult {
 }
 
 // RankPage returns one window of the ranking RankResults would
-// produce, without a full sort: the top Offset+Limit entries are
-// selected with a bounded min-heap (O(n log k) for k ≪ n), then the
-// window is cut from their sorted order. A window covering the whole
-// set falls back to the full sort.
+// produce: the document-ordered result list (a cached Search outcome)
+// runs through the same bounded consumer as a streamed page, so only
+// the top Offset+Limit entries are ever ordered. The returned entries
+// reference the input Result objects.
 func (e *Engine) RankPage(results []*Result, query string, opts SearchOptions) []*RankedResult {
-	lo, hi := opts.Window(len(results))
-	if hi >= len(results) {
-		return e.RankResults(results, query)[lo:]
-	}
-	scored := e.scoreResults(results, query)
-	top := topK(scored, hi)
-	return top[lo:]
+	page, _, _, _ := ConsumeRankedWAND(ResultHits(results), opts, e.StreamScorer(index.TokenizeQuery(query)), nil, nil)
+	return page
 }
 
 // scoreResults computes each result's TF-IDF score in input order,
@@ -119,74 +76,6 @@ func (e *Engine) scoreResults(results []*Result, query string) []*RankedResult {
 			score += TermWeight(tf, idf)
 		}
 		out[i] = &RankedResult{Result: r, Score: score}
-	}
-	return out
-}
-
-// rankHeap is a min-heap of the k best entries seen so far: the worst
-// of the kept entries sits at the root, ready to be displaced. Order
-// matches the full stable sort exactly — higher score first, input
-// index (document order for Search output) breaking ties — so a page
-// cut from the heap's result equals the same page of RankResults.
-type rankHeap struct {
-	entries []*RankedResult
-	idx     []int // input index of each entry, the tie-breaker
-}
-
-// beats reports whether entry a ranks strictly before entry b.
-func (h *rankHeap) beats(a, b int) bool {
-	if h.entries[a].Score != h.entries[b].Score {
-		return h.entries[a].Score > h.entries[b].Score
-	}
-	return h.idx[a] < h.idx[b]
-}
-
-func (h *rankHeap) Len() int           { return len(h.entries) }
-func (h *rankHeap) Less(i, j int) bool { return h.beats(j, i) } // min-heap: worst on top
-func (h *rankHeap) Swap(i, j int) {
-	h.entries[i], h.entries[j] = h.entries[j], h.entries[i]
-	h.idx[i], h.idx[j] = h.idx[j], h.idx[i]
-}
-func (h *rankHeap) Push(x any) { panic("unused: rankHeap is fixed-size") }
-func (h *rankHeap) Pop() any {
-	n := len(h.entries) - 1
-	e := h.entries[n]
-	h.entries = h.entries[:n]
-	h.idx = h.idx[:n]
-	return e
-}
-
-// topK returns the k best entries of scored in rank order. scored is
-// indexed in input order (the tie-break key).
-func topK(scored []*RankedResult, k int) []*RankedResult {
-	if k >= len(scored) {
-		k = len(scored)
-	}
-	h := &rankHeap{entries: make([]*RankedResult, 0, k), idx: make([]int, 0, k)}
-	for i, r := range scored {
-		if len(h.entries) < k {
-			h.entries = append(h.entries, r)
-			h.idx = append(h.idx, i)
-			if len(h.entries) == k {
-				heap.Init(h)
-			}
-			continue
-		}
-		// Replace the root (worst kept) when r outranks it. Later
-		// entries never beat equal-scored kept ones: ties go to the
-		// lower input index.
-		h.entries = append(h.entries, r)
-		h.idx = append(h.idx, i)
-		if h.beats(k, 0) {
-			h.Swap(0, k)
-		}
-		h.entries, h.idx = h.entries[:k], h.idx[:k]
-		heap.Fix(h, 0)
-	}
-	// Drain worst-first, filling the output back to front.
-	out := make([]*RankedResult, len(h.entries))
-	for n := len(h.entries) - 1; n >= 0; n-- {
-		out[n] = heap.Pop(h).(*RankedResult)
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package xseek
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 
@@ -11,29 +10,16 @@ import (
 	"repro/internal/xmltree"
 )
 
-// This file is the streaming execution path: SLCAs pulled lazily from
+// This file is the execution pipeline: SLCAs pulled lazily from
 // slca.Iterator are lifted to entities, deduplicated, and either
-// emitted in document order (ResultStream — early-terminating paging)
-// or fed through a bounded heap (consumeRankedStream — exact top-k
-// with scores bit-identical to the eager ranking). The shard and
-// update engines reuse EntityStream and consumeRankedStream with
-// their own tf sources.
+// emitted in document order (ResultStream — drained by Search, or
+// paged with early termination) or fed through the bounded consumer
+// (ConsumeRankedWAND, wand.go — exact top-k with scores bit-identical
+// to the RankResults reference). The shard and update engines reuse
+// EntityStream and the consumer with their own tf sources.
 
-// ExecMode selects how a paged query executes.
-type ExecMode int
-
-const (
-	// ExecAuto lets the planner choose between eager and streamed
-	// execution per query (the default).
-	ExecAuto ExecMode = iota
-	// ExecEager forces the materialize-then-window pipeline.
-	ExecEager
-	// ExecStream forces the lazy pipeline.
-	ExecStream
-)
-
-// StreamTotalUnknown is the Total a doc-order streamed page reports
-// when early termination stopped before the result count was known.
+// StreamTotalUnknown is the Total a page reports when early
+// termination stopped before the result count was known.
 const StreamTotalUnknown = -1
 
 // pathWalker resolves document-ordered Dewey IDs against a tree and
@@ -144,11 +130,14 @@ func (w *pathWalker) entityAncestorBlocks(limit int) bool {
 type EntityHit struct {
 	Node  *xmltree.Node
 	Match *xmltree.Node
+	// res is the labelled result a ResultHits source replays; the
+	// consumer returns it instead of building a new one.
+	res *Result
 }
 
 // EntityStream lifts a document-ordered SLCA stream to a document-
-// ordered stream of distinct result entities — the lazy twin of
-// mapToEntities, with identical output. Entities are held in a small
+// ordered stream of distinct result entities — the lazy form of
+// MapToEntities, with identical output. Entities are held in a small
 // pending buffer until no unseen SLCA can map to them or one of their
 // entity ancestors (which would reorder or duplicate the output), so
 // every hit is emitted exactly once, in document order, as early as
@@ -169,7 +158,7 @@ type EntityStream struct {
 
 // NewEntityStream builds an entity stream over the given SLCA iterator
 // and live tree/schema pair. A stream whose SLCA is missing from the
-// tree stops with an error (the strict mapToEntities contract).
+// tree stops with an error (the strict MapToEntities contract).
 func NewEntityStream(it slca.Iterator, root *xmltree.Node, schema *Schema) *EntityStream {
 	return &EntityStream{it: it, w: newPathWalker(root, schema)}
 }
@@ -253,7 +242,7 @@ func (es *EntityStream) Next() (EntityHit, bool) {
 }
 
 // insertPending adds a hit in document order, merging duplicates (the
-// first match wins, as the eager seen-map does).
+// first match wins, as MapToEntities' seen-map does).
 func (es *EntityStream) insertPending(h EntityHit) {
 	k := sort.Search(len(es.pending), func(i int) bool {
 		return es.pending[i].Node.ID.Compare(h.Node.ID) >= 0
@@ -269,10 +258,44 @@ func (es *EntityStream) insertPending(h EntityHit) {
 // Err reports a stream-terminating internal error, if any.
 func (es *EntityStream) Err() error { return es.err }
 
+// HitSource is what the bounded ranked consumer pulls from: an
+// EntityStream on a query-cache miss, or ResultHits over a cached
+// result list. Hits arrive in document order — the ranking tie-break
+// and the order Scorers and bound cursors require. After Next returns
+// false, Err distinguishes exhaustion from an internal error.
+type HitSource interface {
+	Next() (EntityHit, bool)
+	Err() error
+}
+
+// resultHits replays an already-labelled, document-ordered result list
+// as a HitSource.
+type resultHits struct {
+	results []*Result
+	pos     int
+}
+
+// ResultHits adapts a document-ordered result list (a cached Search
+// outcome) to the consumer's HitSource. The consumer returns the
+// list's own Result objects for the page's entries.
+func ResultHits(results []*Result) HitSource { return &resultHits{results: results} }
+
+func (l *resultHits) Next() (EntityHit, bool) {
+	if l.pos >= len(l.results) {
+		return EntityHit{}, false
+	}
+	r := l.results[l.pos]
+	l.pos++
+	return EntityHit{Node: r.Node, Match: r.Match, res: r}, true
+}
+
+func (l *resultHits) Err() error { return nil }
+
 // Cursor is the document-ordered pull interface over labelled search
 // results that every executor's streaming path exposes: the lazy
 // ResultStream here and on the live-update engine, and a materialized
-// fallback (SliceCursor) where a true stream is not available. After
+// list (SliceCursor) on the sharded fan-out, whose doc-order merge
+// needs every leg first. After
 // Next returns false, Err distinguishes exhaustion from an internal
 // error, and Emitted is the exact result total.
 type Cursor interface {
@@ -281,10 +304,23 @@ type Cursor interface {
 	Emitted() int
 }
 
+// Drain pulls a cursor to exhaustion: the full document-ordered result
+// list every executor's doc-order Search returns.
+func Drain(c Cursor) ([]*Result, error) {
+	var out []*Result
+	for {
+		r, ok := c.Next()
+		if !ok {
+			return out, c.Err()
+		}
+		out = append(out, r)
+	}
+}
+
 // ResultStream is a pull cursor over labelled search results in
-// document order — the streaming twin of Execute. Labels are computed
-// per emitted result, so a consumer stopping after k results pays k
-// labelling calls, not one per result.
+// document order; Execute drains one. Labels are computed per emitted
+// result, so a consumer stopping after k results pays k labelling
+// calls, not one per result.
 type ResultStream struct {
 	es *EntityStream
 	n  int
@@ -312,10 +348,9 @@ func (rs *ResultStream) Err() error { return rs.es.Err() }
 // once Next has returned false with a nil Err, it is the exact total.
 func (rs *ResultStream) Emitted() int { return rs.n }
 
-// SLCAIter returns the lazy SLCA stage of the compiled query: a
-// pull-based iterator equivalent to SLCAs(), honouring the planned (or
-// overridden) algorithm's seek discipline. Galloping plans ride the
-// index's skip ladders on long lists.
+// SLCAIter returns the lazy SLCA stage of the compiled query,
+// honouring the planned (or overridden) algorithm's seek discipline.
+// Galloping plans ride the index's skip ladders on long lists.
 func (q *Query) SLCAIter() (slca.Iterator, error) {
 	alg := q.Alg
 	if alg == slca.AlgAuto || alg == "" {
@@ -354,8 +389,7 @@ func (q *Query) SLCAIter() (slca.Iterator, error) {
 }
 
 // Stream runs the lazy pipeline — SLCA, entity mapping, labelling —
-// returning a document-ordered result cursor. Consuming it to
-// exhaustion yields exactly Execute's result list.
+// returning a document-ordered result cursor; Execute drains it.
 func (q *Query) Stream() (*ResultStream, error) {
 	it, err := q.SLCAIter()
 	if err != nil {
@@ -382,8 +416,8 @@ type sliceCursor struct {
 }
 
 // SliceCursor wraps an already-computed, document-ordered result list
-// as a Cursor — the fallback for executors whose doc-order path has no
-// lazy pipeline (the sharded fan-out materializes per-shard anyway).
+// as a Cursor — for executors whose doc-order answer is only known
+// whole (the sharded fan-out merges every leg first).
 func SliceCursor(results []*Result) Cursor { return &sliceCursor{results: results} }
 
 func (c *sliceCursor) Next() (*Result, bool) {
@@ -401,13 +435,13 @@ func (c *sliceCursor) Emitted() int { return c.pos }
 // Scorer computes one entity's full relevance score. Each engine
 // flavour supplies its own tf source (cursor counters here, analytic
 // composite counts on the live path); the weight formula is shared so
-// streamed scores stay bit-identical to eager ones.
+// consumer scores stay bit-identical to the RankResults reference.
 type Scorer func(entity dewey.ID) float64
 
 // StreamScorer returns this engine's scorer for the query's terms:
 // per-term monotone counters over the index posting lists, weighted
 // with the engine's precomputed IDF. Entities must be scored in
-// document order (the EntityStream emission order).
+// document order (the HitSource order).
 func (e *Engine) StreamScorer(terms []string) Scorer {
 	type termCursor struct {
 		idf     float64
@@ -417,7 +451,7 @@ func (e *Engine) StreamScorer(terms []string) Scorer {
 	for _, t := range terms {
 		idf := e.termIDF(t)
 		if idf == 0 {
-			continue // absent term: contributes nothing, as eager skips it
+			continue // absent term: contributes nothing, as RankResults skips it
 		}
 		cursors = append(cursors, termCursor{idf: idf, counter: index.NewCounter(e.idx.Lookup(t))})
 	}
@@ -440,9 +474,9 @@ type streamHit struct {
 	ord   int
 }
 
-// streamHeap is a bounded min-heap of the best hits so far, ordered
-// exactly like rankHeap (score desc, document order asc) so the drain
-// equals the same window of the eager stable ranking.
+// streamHeap is a bounded min-heap of the best hits so far, ordered by
+// (score desc, document order asc) so the drain equals the same window
+// of the RankResults stable ranking.
 type streamHeap []streamHit
 
 func (h streamHeap) beats(a, b streamHit) bool {
@@ -456,121 +490,3 @@ func (h streamHeap) Less(i, j int) bool { return h.beats(h[j], h[i]) } // min-he
 func (h streamHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
 func (h *streamHeap) Push(x any)        { *h = append(*h, x.(streamHit)) }
 func (h *streamHeap) Pop() any          { old := *h; n := len(old) - 1; v := old[n]; *h = old[:n]; return v }
-
-// ConsumeRankedStream drains an entity stream through a bounded heap
-// and returns the options' window of the exact relevance ranking plus
-// the exact total. Only the window's survivors are labelled. The
-// output is bit-identical — scores, order, length — to scoring the
-// eager result list and ranking it with RankPage/RankResults. Shared
-// by every executor's streamed ranked path; each supplies its own tf
-// source through the Scorer.
-func ConsumeRankedStream(es *EntityStream, opts SearchOptions, score Scorer) ([]*RankedResult, int, error) {
-	lo := opts.Offset
-	if lo < 0 {
-		lo = 0
-	}
-	want := 0 // 0: unbounded (whole ranking)
-	if opts.Limit > 0 {
-		if c := lo + opts.Limit; c > lo { // overflow-safe, mirroring Window
-			want = c
-		}
-	}
-	var h streamHeap
-	total := 0
-	for {
-		hit, ok := es.Next()
-		if !ok {
-			break
-		}
-		sc := score(hit.Node.ID)
-		entry := streamHit{hit: hit, score: sc, ord: total}
-		total++
-		if want == 0 || len(h) < want {
-			h = append(h, entry)
-			if len(h) == want {
-				heap.Init(&h)
-			}
-			continue
-		}
-		// Bounded: displace the worst kept entry when beaten. Ties keep
-		// the earlier document position, so a later equal score never
-		// displaces.
-		if h.beats(entry, h[0]) {
-			h[0] = entry
-			heap.Fix(&h, 0)
-		}
-	}
-	if err := es.Err(); err != nil {
-		return nil, 0, err
-	}
-	// Drain into rank order. The unbounded (or under-filled) heap was
-	// never heapified; sort it by the same key.
-	var ranked []streamHit
-	if want != 0 && len(h) == want {
-		ranked = make([]streamHit, len(h))
-		for n := len(h) - 1; n >= 0; n-- {
-			ranked[n] = heap.Pop(&h).(streamHit)
-		}
-	} else {
-		ranked = h
-		sort.Slice(ranked, func(i, j int) bool { return h.beats(ranked[i], ranked[j]) })
-	}
-	if lo > len(ranked) {
-		lo = len(ranked)
-	}
-	out := make([]*RankedResult, 0, len(ranked)-lo)
-	for _, s := range ranked[lo:] {
-		out = append(out, &RankedResult{
-			Result: &Result{Node: s.hit.Node, Match: s.hit.Match, Label: LabelFor(s.hit.Node)},
-			Score:  s.score,
-		})
-	}
-	return out, total, nil
-}
-
-// RankStream runs the streamed ranked pipeline on the compiled query:
-// lazy SLCAs, streamed entity mapping, bounded-heap top-k. The window
-// and total are bit-identical to SearchRankedPage's eager path.
-func (q *Query) RankStream(opts SearchOptions) ([]*RankedResult, int, error) {
-	it, err := q.SLCAIter()
-	if err != nil {
-		return nil, 0, err
-	}
-	es := NewEntityStream(it, q.eng.root, q.eng.schema)
-	return ConsumeRankedStream(es, opts, q.eng.StreamScorer(q.Terms))
-}
-
-// SearchRankedPageStream is the always-streamed twin of
-// SearchRankedPage, for callers (and benchmarks) that want to bypass
-// the planner's routing. It still counts toward StreamedDecisions —
-// the counter reports pages that ran streamed, however chosen — and
-// matches the update and shard engines' accounting.
-func (e *Engine) SearchRankedPageStream(query string, opts SearchOptions) ([]*RankedResult, int, error) {
-	q, err := e.Compile(query)
-	if err != nil {
-		return nil, 0, err
-	}
-	e.plannerStreamed.Add(1)
-	return q.RankStream(opts)
-}
-
-// EstimateResults bounds the query's result count for stream planning:
-// the driving (smallest) posting list length, 0 when the query cannot
-// match. It is a cheap upper bound, not an exact count.
-func (e *Engine) EstimateResults(query string) int {
-	terms := index.TokenizeQuery(query)
-	if len(terms) == 0 {
-		return 0
-	}
-	est := -1
-	for _, t := range terms {
-		df := e.idx.DocFreq(t)
-		if df == 0 {
-			return 0
-		}
-		if est == -1 || df < est {
-			est = df
-		}
-	}
-	return est
-}

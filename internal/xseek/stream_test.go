@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/slca"
 	"repro/internal/xmltree"
 )
 
@@ -37,15 +38,27 @@ func randomNestedDoc(r *rand.Rand, shelves int) string {
 	return b.String()
 }
 
+// oracleResults is the reference result list for a compiled query: the
+// naive SLCA oracle's matches through the explicit-set entity map.
+func oracleResults(t *testing.T, q *Query) []*Result {
+	t.Helper()
+	want, err := q.eng.MapToEntities(slca.Naive(q.Lists))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
 var streamQueries = []string{
 	"alpha", "beta", "omega",
 	"alpha beta", "gamma delta", "alpha omega",
 	"alpha beta gamma",
 }
 
-// TestStreamEqualsExecute: draining the doc-order result stream must
-// reproduce Execute exactly — same entities, same match nodes, same
-// labels, same order — across random nested corpora and queries.
+// TestStreamEqualsExecute: draining the doc-order result stream, and
+// Execute, must reproduce the naive oracle's result list exactly —
+// same entities, same match nodes, same labels, same order — across
+// random nested corpora and queries.
 func TestStreamEqualsExecute(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 40; trial++ {
@@ -55,10 +68,12 @@ func TestStreamEqualsExecute(t *testing.T) {
 			if err != nil {
 				continue // vocabulary miss on a tiny corpus
 			}
-			want, err := q.Execute()
+			want := oracleResults(t, q)
+			exec, err := q.Execute()
 			if err != nil {
 				t.Fatal(err)
 			}
+			compareResults(t, exec, want, fmt.Sprintf("trial %d query %q Execute", trial, query))
 			rs, err := q.Stream()
 			if err != nil {
 				t.Fatal(err)
@@ -80,8 +95,8 @@ func TestStreamEqualsExecute(t *testing.T) {
 }
 
 // TestStreamPrefixInvariance: the first k pulls of the stream equal
-// the first k results of Execute for every k — the property paging
-// relies on.
+// the first k oracle results for every k — the property paging relies
+// on.
 func TestStreamPrefixInvariance(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 20; trial++ {
@@ -91,10 +106,7 @@ func TestStreamPrefixInvariance(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			want, err := q.Execute()
-			if err != nil {
-				t.Fatal(err)
-			}
+			want := oracleResults(t, q)
 			for _, k := range []int{1, 2, 5} {
 				if k > len(want) {
 					k = len(want)
@@ -117,8 +129,9 @@ func TestStreamPrefixInvariance(t *testing.T) {
 	}
 }
 
-// TestRankStreamEqualsEagerRankedPage: the streamed ranked pipeline
-// must be bit-identical to the eager one — scores, order, labels,
+// TestRankStreamEqualsEagerRankedPage: the streamed ranked page must
+// be bit-identical to the same window of the reference ranking
+// (RankResults over the oracle's result list) — scores, order, labels,
 // window clamping, and totals — for every paging shape.
 func TestRankStreamEqualsEagerRankedPage(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
@@ -135,18 +148,18 @@ func TestRankStreamEqualsEagerRankedPage(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		e := New(xmltree.MustParseString(randomNestedDoc(r, 2+r.Intn(6))))
 		for _, query := range streamQueries {
+			q, errQ := e.Compile(query)
 			for _, opts := range optsGrid {
-				eagerOpts, streamOpts := opts, opts
-				eagerOpts.Mode = ExecEager
-				streamOpts.Mode = ExecStream
-				want, wantTotal, errW := e.SearchRankedPage(query, eagerOpts)
-				got, gotTotal, errG := e.SearchRankedPage(query, streamOpts)
-				if (errW == nil) != (errG == nil) {
-					t.Fatalf("query %q opts %+v: eager err %v vs stream err %v", query, opts, errW, errG)
+				got, gotTotal, errG := e.SearchRankedPage(query, opts)
+				if (errQ == nil) != (errG == nil) {
+					t.Fatalf("query %q opts %+v: compile err %v vs stream err %v", query, opts, errQ, errG)
 				}
-				if errW != nil {
+				if errQ != nil {
 					continue
 				}
+				results := oracleResults(t, q)
+				lo, hi := opts.Window(len(results))
+				want, wantTotal := e.RankResults(results, query)[lo:hi], len(results)
 				if gotTotal != wantTotal {
 					t.Fatalf("query %q opts %+v: total %d want %d", query, opts, gotTotal, wantTotal)
 				}
@@ -164,11 +177,16 @@ func TestRankStreamEqualsEagerRankedPage(t *testing.T) {
 	}
 }
 
-// TestExecutePageStreamMode: doc-order pages under ExecStream match
-// the eager pages; the total is exact when the stream was exhausted
-// and StreamTotalUnknown when early termination cut it short.
+// TestExecutePageStreamMode: doc-order pages cut from the drained
+// stream match the same windows of the oracle's result list, with the
+// exact total.
 func TestExecutePageStreamMode(t *testing.T) {
 	e := New(xmltree.MustParseString(pagedDoc(23)))
+	q, err := e.Compile("gps")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleResults(t, q)
 	for _, opts := range []SearchOptions{
 		{Limit: 5},
 		{Limit: 5, Offset: 10},
@@ -176,67 +194,15 @@ func TestExecutePageStreamMode(t *testing.T) {
 		{},
 		{Limit: 5, Offset: 99},
 	} {
-		eager, total, err := e.SearchPage("gps", opts)
+		got, total, err := e.SearchPage("gps", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamOpts := opts
-		streamOpts.Mode = ExecStream
-		got, streamTotal, err := e.SearchPage("gps", streamOpts)
-		if err != nil {
-			t.Fatal(err)
+		if total != len(want) {
+			t.Fatalf("opts %+v: total = %d, want %d", opts, total, len(want))
 		}
-		if len(got) != len(eager) {
-			t.Fatalf("opts %+v: %d results want %d", opts, len(got), len(eager))
-		}
-		for i := range eager {
-			if got[i].Node != eager[i].Node || got[i].Label != eager[i].Label {
-				t.Fatalf("opts %+v: page diverges at %d", opts, i)
-			}
-		}
-		earlyStop := opts.Limit > 0 && opts.Offset+opts.Limit < total
-		if earlyStop {
-			if streamTotal != StreamTotalUnknown {
-				t.Fatalf("opts %+v: early-stopped total = %d, want StreamTotalUnknown", opts, streamTotal)
-			}
-		} else if streamTotal != total {
-			t.Fatalf("opts %+v: exhausted total = %d, want %d", opts, streamTotal, total)
-		}
-	}
-}
-
-// TestAutoModeRoutesSmallWindowsStreamed: on a corpus whose driving
-// list dwarfs the requested window, ExecAuto must take the streamed
-// path (counter advances) and still return the eager answer.
-func TestAutoModeRoutesSmallWindowsStreamed(t *testing.T) {
-	e := New(xmltree.MustParseString(pagedDoc(60)))
-	before := e.StreamedDecisions()
-	got, total, err := e.SearchRankedPage("gps", SearchOptions{Limit: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.StreamedDecisions() != before+1 {
-		t.Fatalf("streamed decisions = %d, want %d", e.StreamedDecisions(), before+1)
-	}
-	want, wantTotal, err := e.SearchRankedPage("gps", SearchOptions{Limit: 3, Mode: ExecEager})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != wantTotal || len(got) != len(want) {
-		t.Fatalf("auto (%d of %d) vs eager (%d of %d)", len(got), total, len(want), wantTotal)
-	}
-	for i := range want {
-		if got[i].Node != want[i].Node || got[i].Score != want[i].Score {
-			t.Fatalf("auto page diverges at %d", i)
-		}
-	}
-	// A window spanning the whole corpus must stay eager.
-	before = e.StreamedDecisions()
-	if _, _, err := e.SearchRankedPage("gps", SearchOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if e.StreamedDecisions() != before {
-		t.Fatal("unbounded query took the streamed path")
+		lo, hi := opts.Window(len(want))
+		compareResults(t, got, want[lo:hi], fmt.Sprintf("opts %+v", opts))
 	}
 }
 
@@ -252,7 +218,7 @@ func TestStreamErrorOnUnknownAlgorithm(t *testing.T) {
 	if _, err := q.Stream(); err == nil {
 		t.Fatal("unknown algorithm must fail the stream")
 	}
-	if _, _, err := q.RankStream(SearchOptions{Limit: 1}); err == nil {
+	if _, _, _, err := q.RankWAND(SearchOptions{Limit: 1}, nil); err == nil {
 		t.Fatal("unknown algorithm must fail the ranked stream")
 	}
 }

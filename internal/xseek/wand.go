@@ -10,21 +10,22 @@ import (
 	"repro/internal/index"
 )
 
-// This file is the score-bounded (block-max WAND) twin of
-// ConsumeRankedStream: the same lazy SLCA → entity → bounded-heap
-// pipeline, but once the top-k heap is full, each entity is first
-// checked against an upper bound on its score — each term's block-max
-// tf bound (index.BoundCursor) pushed through the shared TermWeight
-// with the term's precomputed IDF. The bound is a suffix maximum, so
-// it only falls as the stream advances while the heap's k-th score
-// only rises; the first entity whose bound cannot displace the kept
-// worst therefore proves the same for every later entity, and the
-// consumer stops scoring (exact mode — the total stays exact) or
-// stops draining entirely (approximate mode — the total is reported
-// as StreamTotalUnknown). Exact mode is bit-identical to the eager
-// and plain streamed rankings: pruned entities score strictly within
-// the bound, and ties keep the earlier document position, which every
-// pruned entity loses by construction.
+// This file is the one bounded ranked consumer every ranked page runs:
+// document-ordered entity hits (a lazy EntityStream, or a cached
+// result list) are scored into a bounded top-k heap. With block-max
+// bounds (WAND), once the heap is full each entity is first checked
+// against an upper bound on its score — each term's block-max tf
+// bound (index.BoundCursor) pushed through the shared TermWeight with
+// the term's precomputed IDF. The bound is a suffix maximum, so it
+// only falls as the stream advances while the heap's k-th score only
+// rises; the first entity whose bound cannot displace the kept worst
+// therefore proves the same for every later entity, and the consumer
+// stops scoring (exact mode — the total stays exact) or stops draining
+// entirely (approximate mode — the total is reported as
+// StreamTotalUnknown). Exact mode is bit-identical to the RankResults
+// reference: pruned entities score strictly within the bound, and ties
+// keep the earlier document position, which every pruned entity loses
+// by construction.
 
 // Accuracy selects how a score-bounded ranked page may trade the
 // exact total for work.
@@ -32,7 +33,7 @@ type Accuracy int
 
 const (
 	// AccuracyExact (the default) keeps pages and totals bit-identical
-	// to eager execution: the cutoff only skips scoring work.
+	// to the reference ranking: the cutoff only skips scoring work.
 	AccuracyExact Accuracy = iota
 	// AccuracyApprox lets the consumer stop draining at the cutoff:
 	// the page is still exact, but the total is StreamTotalUnknown.
@@ -42,10 +43,9 @@ const (
 // WANDStats reports what the score-bounded consumer did with one
 // page, for the serving layer's metrics.
 type WANDStats struct {
-	// Bounded reports whether bound metadata was available; false
-	// means the query fell back to the plain streamed pipeline (e.g.
-	// a legacy v4 snapshot without block maxima, or an unbounded
-	// window).
+	// Bounded reports whether pruning was possible; false means the
+	// consumer scored every hit (no bound metadata — e.g. a legacy v4
+	// snapshot without block maxima — or an unbounded window).
 	Bounded bool
 	// Pruned counts entities whose exact scoring was skipped.
 	Pruned int64
@@ -130,37 +130,36 @@ func boundBelow(bounds []TermBound, id dewey.ID, tau float64, shared *SharedThre
 	return shared != nil && ub < shared.Load()
 }
 
-// ConsumeRankedWAND drains an entity stream through the bounded heap
-// with score-bound pruning. The page is always bit-identical to
-// ConsumeRankedStream's; the total is exact except after an
-// approximate-mode early stop, which reports StreamTotalUnknown. A
-// nil bounds slice or an unbounded window disables pruning and
-// delegates to ConsumeRankedStream (Bounded stays false). shared may
-// be nil; when set, the consumer raises it with its own k-th score
-// and prunes against it strictly.
-func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bounds []TermBound, shared *SharedThreshold) ([]*RankedResult, int, WANDStats, error) {
+// ConsumeRankedWAND drains a hit source through the bounded heap and
+// returns the options' window of the exact relevance ranking plus the
+// total. Only the window's survivors are labelled. The page is always
+// bit-identical — scores, order, length — to the same window of
+// RankResults over the source's hits; the total is exact except after
+// an approximate-mode early stop, which reports StreamTotalUnknown.
+// Shared by every executor and both ranked routes; each supplies its
+// own tf source through the Scorer.
+//
+// Nil bounds or an unbounded window mean "never prune" (Bounded stays
+// false): every hit is scored. shared may be nil; when set and pruning
+// is on, the consumer raises it with its own k-th score and prunes
+// against it strictly.
+func ConsumeRankedWAND(src HitSource, opts SearchOptions, score Scorer, bounds []TermBound, shared *SharedThreshold) ([]*RankedResult, int, WANDStats, error) {
 	lo := opts.Offset
 	if lo < 0 {
 		lo = 0
 	}
-	want := 0
+	want := 0 // 0: unbounded (whole ranking)
 	if opts.Limit > 0 {
 		if c := lo + opts.Limit; c > lo { // overflow-safe, mirroring Window
 			want = c
 		}
 	}
-	if want == 0 || len(bounds) == 0 {
-		// Unbounded windows need every exact score; without bound
-		// metadata there is nothing to prune with.
-		out, total, err := ConsumeRankedStream(es, opts, score)
-		return out, total, WANDStats{}, err
-	}
-	st := WANDStats{Bounded: true}
+	st := WANDStats{Bounded: want > 0 && len(bounds) > 0}
 	var h streamHeap
 	total := 0
 	cut := false // the permanent cutoff: no later entity can displace
 	for {
-		hit, ok := es.Next()
+		hit, ok := src.Next()
 		if !ok {
 			break
 		}
@@ -170,7 +169,7 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 			st.Pruned++
 			continue
 		}
-		if len(h) == want && boundBelow(bounds, hit.Node.ID, h[0].score, shared) {
+		if st.Bounded && len(h) == want && boundBelow(bounds, hit.Node.ID, h[0].score, shared) {
 			// The bound is non-increasing and both thresholds are
 			// non-decreasing, so the first failure is final: stop
 			// scoring, and in approximate mode stop draining too.
@@ -186,11 +185,11 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 			continue
 		}
 		entry := streamHit{hit: hit, score: score(hit.Node.ID), ord: ord}
-		if len(h) < want {
+		if want == 0 || len(h) < want {
 			h = append(h, entry)
 			if len(h) == want {
 				heap.Init(&h)
-				if shared != nil {
+				if st.Bounded && shared != nil {
 					shared.Raise(h[0].score)
 				}
 			}
@@ -202,17 +201,18 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 		if h.beats(entry, h[0]) {
 			h[0] = entry
 			heap.Fix(&h, 0)
-			if shared != nil {
+			if st.Bounded && shared != nil {
 				shared.Raise(h[0].score)
 			}
 		}
 	}
-	if err := es.Err(); err != nil {
+	if err := src.Err(); err != nil {
 		return nil, 0, st, err
 	}
-	// Drain into rank order, exactly as ConsumeRankedStream does.
+	// Drain into rank order. An unbounded (or under-filled) heap was
+	// never heapified; sort it by the same key.
 	var ranked []streamHit
-	if len(h) == want {
+	if want != 0 && len(h) == want {
 		ranked = make([]streamHit, len(h))
 		for n := len(h) - 1; n >= 0; n-- {
 			ranked[n] = heap.Pop(&h).(streamHit)
@@ -226,10 +226,11 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 	}
 	out := make([]*RankedResult, 0, len(ranked)-lo)
 	for _, s := range ranked[lo:] {
-		out = append(out, &RankedResult{
-			Result: &Result{Node: s.hit.Node, Match: s.hit.Match, Label: LabelFor(s.hit.Node)},
-			Score:  s.score,
-		})
+		r := s.hit.res
+		if r == nil {
+			r = &Result{Node: s.hit.Node, Match: s.hit.Match, Label: LabelFor(s.hit.Node)}
+		}
+		out = append(out, &RankedResult{Result: r, Score: s.score})
 	}
 	if st.Terminated {
 		total = StreamTotalUnknown
@@ -240,7 +241,7 @@ func ConsumeRankedWAND(es *EntityStream, opts SearchOptions, score Scorer, bound
 // TermBounds builds one score-bound cursor per scoring term (terms
 // with zero IDF contribute no weight and are skipped, matching
 // StreamScorer), or nil when any term's block maxima are unavailable
-// — the signal to fall back to unpruned streaming.
+// — the signal for the consumer to score every hit.
 func (e *Engine) TermBounds(terms []string) []TermBound {
 	out := make([]TermBound, 0, len(terms))
 	for _, t := range terms {
@@ -272,15 +273,13 @@ func (q *Query) RankWAND(opts SearchOptions, shared *SharedThreshold) ([]*Ranked
 	return ConsumeRankedWAND(es, opts, q.eng.StreamScorer(q.Terms), q.eng.TermBounds(q.Terms), shared)
 }
 
-// SearchRankedPageWAND is the score-bounded twin of
-// SearchRankedPageStream: same page bytes in exact mode, with
-// pruning stats alongside. It counts toward StreamedDecisions — the
-// counter reports pages that ran the lazy pipeline, however bounded.
+// SearchRankedPageWAND compiles the query and runs the lazy pipeline
+// through the bounded consumer with score-bound pruning, returning the
+// page, the total, and the pruning stats.
 func (e *Engine) SearchRankedPageWAND(query string, opts SearchOptions) ([]*RankedResult, int, WANDStats, error) {
 	q, err := e.Compile(query)
 	if err != nil {
 		return nil, 0, WANDStats{}, err
 	}
-	e.plannerStreamed.Add(1)
 	return q.RankWAND(opts, nil)
 }

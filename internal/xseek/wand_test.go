@@ -62,10 +62,23 @@ func requireSamePages(t *testing.T, ctx string, got, want []*RankedResult) {
 	}
 }
 
+// referencePage is the window of the reference ranking — RankResults
+// over the full Search result list, every result scored then stable
+// sorted — plus the total.
+func referencePage(t *testing.T, e *Engine, query string, opts SearchOptions) ([]*RankedResult, int) {
+	t.Helper()
+	results, err := e.Search(query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := opts.Window(len(results))
+	return e.RankResults(results, query)[lo:hi], len(results)
+}
+
 // TestWANDExactBitIdentical: the exact-mode score-bounded page must be
-// bit-identical to both the eager and the plain streamed rankings for
-// every window shape, including paging envelopes, while actually
-// pruning on small windows.
+// bit-identical to both the reference ranking and the unpruned
+// consumer for every window shape, including paging envelopes, while
+// actually pruning on small windows.
 func TestWANDExactBitIdentical(t *testing.T) {
 	for _, scatter := range []int{0, 7} {
 		e := wandTestCorpus(900, scatter)
@@ -74,13 +87,8 @@ func TestWANDExactBitIdentical(t *testing.T) {
 				for _, off := range []int{0, 3} {
 					ctx := fmt.Sprintf("scatter=%d q=%q k=%d off=%d", scatter, query, k, off)
 					opts := SearchOptions{Limit: k, Offset: off}
-					eager := opts
-					eager.Mode = ExecEager
-					eRes, eTotal, err := e.SearchRankedPage(query, eager)
-					if err != nil {
-						t.Fatalf("%s: eager: %v", ctx, err)
-					}
-					sRes, sTotal, err := e.SearchRankedPageStream(query, opts)
+					eRes, eTotal := referencePage(t, e, query, opts)
+					sRes, sTotal, err := rankUnpruned(e, query, opts)
 					if err != nil {
 						t.Fatalf("%s: streamed: %v", ctx, err)
 					}
@@ -181,11 +189,8 @@ func TestWANDPagePrefixConsistency(t *testing.T) {
 		b.WriteString("</catalog>")
 		e := NewParallel(xmltree.MustParseString(b.String()))
 
-		// The full exact ranking, eager — the reference ordering.
-		full, total, err := e.SearchRankedPage("alpha beta", SearchOptions{Mode: ExecEager})
-		if err != nil {
-			t.Fatalf("trial %d: eager full: %v", trial, err)
-		}
+		// The full reference ranking.
+		full, total := referencePage(t, e, "alpha beta", SearchOptions{})
 		for _, acc := range []Accuracy{AccuracyExact, AccuracyApprox} {
 			for _, k := range []int{1, 3, 10} {
 				page, pTotal, _, err := e.SearchRankedPageWAND("alpha beta", SearchOptions{Limit: k, Accuracy: acc})
@@ -224,7 +229,7 @@ func TestWANDPagePrefixConsistency(t *testing.T) {
 }
 
 // TestWANDUnboundedWindowFallsBack: with no window to prune for, the
-// consumer must delegate to plain streaming and report Bounded=false.
+// consumer must score every hit and report Bounded=false.
 func TestWANDUnboundedWindowFallsBack(t *testing.T) {
 	e := wandTestCorpus(300, 5)
 	wRes, wTotal, st, err := e.SearchRankedPageWAND("alpha beta", SearchOptions{})
@@ -234,10 +239,7 @@ func TestWANDUnboundedWindowFallsBack(t *testing.T) {
 	if st.Bounded || st.Pruned != 0 {
 		t.Fatalf("unbounded window: stats = %+v, want unbounded passthrough", st)
 	}
-	eRes, eTotal, err := e.SearchRankedPage("alpha beta", SearchOptions{Mode: ExecEager})
-	if err != nil {
-		t.Fatal(err)
-	}
+	eRes, eTotal := referencePage(t, e, "alpha beta", SearchOptions{})
 	if wTotal != eTotal {
 		t.Fatalf("unbounded totals: wand %d, eager %d", wTotal, eTotal)
 	}
